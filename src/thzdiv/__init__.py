@@ -43,7 +43,7 @@ from .mg_laplace import (
     snr_pdf_mg,
 )
 from .monte_carlo import BerCurve, BerPoint, sample_branch_envelope, simulate_mrc_ber
-from .specfun import FoxHParams, fox_h, fox_h_small_z, q_function
+from .specfun import FoxHParams, fox_h, q_function
 from .sum_dist import (
     IidAlphaMuSum,
     MixtureNodes,
@@ -77,7 +77,6 @@ __all__ = [
     "list_presets",
     "FoxHParams",
     "fox_h",
-    "fox_h_small_z",
     "q_function",
     "IidAlphaMuSum",
     "iid_sum_power_pdf",

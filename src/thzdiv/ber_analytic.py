@@ -42,7 +42,6 @@ __all__ = [
     "ber_alpha_mu_gen_asymptote",
     "ber_mg_mgf",
     "ber_mg_asymptote",
-    "multinomial_compositions",
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -151,21 +150,18 @@ def ber_alpha_mu_gen_foxh(nodes: MixtureNodes, upsilon: float) -> float:
     return total
 
 
-def ber_alpha_mu_gen_asymptote(nodes: MixtureNodes, upsilon,
-                               partial_proxy: bool = False):
+def ber_alpha_mu_gen_asymptote(nodes: MixtureNodes, upsilon):
     """High-SNR BER of the form-B sum; kappa2 = (alpha/2) sum_j mu_j.
 
-    The full characterization carries the Fox-H residue constant h1*; the
-    partial (outage-style) proxy shares the exponent with a cruder constant.
+    kappa1 carries h1* = Gamma(am) Gamma(am + 1/2) / Gamma(am + 1), the
+    residue constant of the leading small-z term of the Fox-H kernel used
+    by ``ber_alpha_mu_gen_foxh`` (am = alpha_bar * mu_bar).
     """
     am = nodes.alpha_bar * nodes.mu_bar
     lam_sum = float(nodes.lambdas.sum())
-    if partial_proxy:
-        k1 = lam_sum / am
-    else:
-        h1 = math.exp(sp.gammaln(am) + sp.gammaln(0.5 + am)
-                      - sp.gammaln(1.0 + am))
-        k1 = 2.0 ** (am - 1.0) / _SQRT_PI * lam_sum * h1
+    h1 = math.exp(sp.gammaln(am) + sp.gammaln(0.5 + am)
+                  - sp.gammaln(1.0 + am))
+    k1 = 2.0 ** (am - 1.0) / _SQRT_PI * lam_sum * h1
     law = AsymptoteLaw(kappa1=k1, kappa2=am,
                        source=AsymptoteSource.ALPHA_MU_GEN)
     return law(upsilon), law
@@ -240,18 +236,6 @@ def ber_mg_mgf(branches, nu: float, l_branches: int, upsilon: float,
             raise EvaluationError("theta quadrature did not stabilize")
         return est2
     return check
-
-
-def multinomial_compositions(n_bins: int, total: int):
-    """All (k_1..k_N) with nonnegative entries summing to ``total``, lexicographic."""
-    if n_bins < 1 or total < 0:
-        raise DomainError("need n_bins >= 1 and total >= 0")
-    if n_bins == 1:
-        yield (total,)
-        return
-    for k in range(total + 1):
-        for rest in multinomial_compositions(n_bins - 1, total - k):
-            yield (k,) + rest
 
 
 def ber_mg_asymptote(branches, nu: float, upsilon, g: float = 1.0,

@@ -253,7 +253,10 @@ def _compute_curve(scenario: Scenario, method: str, mc: dict) -> BerCurve:
         return simulate_mrc_ber(scenario, trials=mc["trials"], seed=mc["seed"],
                                 method=mc["method"])
 
-    if method == "exact":
+    if method == "mgf" and fam != "mixture_gamma":
+        raise ScenarioError("method 'mgf' applies to mixture_gamma branches")
+    if method in ("exact", "mgf"):
+        # For MG branches the Craig-form MGF is the exact route.
         if fam == "mixture_gamma":
             bers = [ber_mg_mgf(scenario.branches, scenario.nu,
                                scenario.l_branches, u, g=scenario.g,
@@ -263,7 +266,7 @@ def _compute_curve(scenario: Scenario, method: str, mc: dict) -> BerCurve:
             bers = [ber_exact_quadrature(pdf, u, g=scenario.g) for u in grid]
         points = [BerPoint(float(u), float(p), 0.0, 1)
                   for u, p in zip(grid, bers)]
-        return BerCurve(tuple(points), seed=0, method="exact", metadata=meta)
+        return BerCurve(tuple(points), seed=0, method=method, metadata=meta)
 
     if method == "foxh":
         if fam != "alpha_mu_b":
@@ -273,16 +276,6 @@ def _compute_curve(scenario: Scenario, method: str, mc: dict) -> BerCurve:
                            float(min(ber_alpha_mu_gen_foxh(nodes, u), 0.5)),
                            0.0, 1) for u in grid]
         return BerCurve(tuple(points), seed=0, method="foxh", metadata=meta)
-
-    if method == "mgf":
-        if fam != "mixture_gamma":
-            raise ScenarioError("method 'mgf' applies to mixture_gamma branches")
-        points = [BerPoint(float(u),
-                           float(ber_mg_mgf(scenario.branches, scenario.nu,
-                                            scenario.l_branches, u,
-                                            g=scenario.g, mode="exact")),
-                           0.0, 1) for u in grid]
-        return BerCurve(tuple(points), seed=0, method="mgf", metadata=meta)
 
     if method == "asymptotic":
         if fam == "alpha_mu_a":

@@ -20,6 +20,10 @@ from .monte_carlo import BerCurve
 __all__ = ["FitReport", "fit_power_law", "compare_to_theory"]
 
 _LN10 = math.log(10.0)
+# Relative slack on the window edges: 10**(dB/10) rounding can put a grid
+# point just outside an edge computed from another grid point (on a -5..25 dB
+# grid, 10**1.5 < 10**2.5 / 10), which would silently drop it from the fit.
+_EDGE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -56,7 +60,8 @@ def fit_power_law(curve: BerCurve, window: tuple[float, float] | None = None
     lo, hi = float(window[0]), float(window[1])
     if not (lo < hi):
         raise DomainError("window must satisfy lo < hi")
-    sel = usable & (ups >= lo) & (ups <= hi)
+    sel = (usable & (ups >= lo * (1.0 - _EDGE_RTOL))
+           & (ups <= hi * (1.0 + _EDGE_RTOL)))
     if int(sel.sum()) < 3:
         raise DomainError(
             f"need >= 3 positive-BER points in window [{lo:g}, {hi:g}], "

@@ -33,7 +33,6 @@ from .specfun import q_function
 __all__ = [
     "BerPoint",
     "BerCurve",
-    "gamma_variate",
     "sample_branch_envelope",
     "simulate_mrc_ber",
 ]
@@ -81,23 +80,16 @@ class BerCurve:
         return np.array([p.se for p in self.points])
 
 
-def gamma_variate(shape: float, stream: np.random.Generator, size=None):
-    """Unit-scale gamma draw(s); Marsaglia-Tsang squeeze with shape<1 boost."""
-    if shape <= 0:
-        raise DomainError("gamma_variate requires shape > 0")
-    return stream.standard_gamma(shape, size=size)
-
-
 def sample_branch_envelope(model, nu: float, stream: np.random.Generator,
                            size=None):
     """Draw scaled envelope amplitudes |h| = nu |h_f| from a branch model."""
     if nu <= 0:
         raise DomainError("sample_branch_envelope requires nu > 0")
     if isinstance(model, AlphaMuA):
-        g = gamma_variate(model.mu, stream, size)
+        g = stream.standard_gamma(model.mu, size)
         return nu * model.z_hat * (g / model.mu) ** (1.0 / model.alpha)
     if isinstance(model, AlphaMuB):
-        g = gamma_variate(model.mu, stream, size)
+        g = stream.standard_gamma(model.mu, size)
         return nu * (model.x_mean / model.beta_param) * g ** (1.0 / model.alpha)
     if isinstance(model, MixtureGamma):
         n = 1 if size is None else int(size)
@@ -107,7 +99,7 @@ def sample_branch_envelope(model, nu: float, stream: np.random.Generator,
             sel = comp == i
             k = int(sel.sum())
             if k:
-                out[sel] = gamma_variate(b, stream, k) / z
+                out[sel] = stream.standard_gamma(b, k) / z
         out *= nu
         return float(out[0]) if size is None else out
     raise TypeError(f"unknown branch model {type(model)!r}")

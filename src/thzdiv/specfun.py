@@ -1,10 +1,8 @@
 """Special functions used throughout the library.
 
-Log-gamma, Beta, the scaled complementary error function and the Gaussian
-Q-function are thin, domain-checked wrappers around scipy.special.  The
+The Gaussian Q-function is a thin wrapper around scipy.special.erfcx.  The
 Fox-H evaluator is implemented here from scratch: a Mellin-Barnes integral
-taken along a vertical contour, plus the matching small-argument expansion
-built from the residues of the left gamma pole family.
+taken along a vertical contour.
 """
 
 from __future__ import annotations
@@ -18,49 +16,12 @@ from scipy import special as sp
 from .errors import AccuracyError, DomainError, EvaluationError
 
 __all__ = [
-    "ln_gamma",
-    "gamma",
-    "beta_fn",
-    "erfc_scaled",
     "q_function",
     "FoxHParams",
-    "SmallZExpansion",
     "fox_h",
-    "fox_h_small_z",
 ]
 
 _SQRT2 = math.sqrt(2.0)
-
-
-def ln_gamma(x):
-    """Natural log of Gamma(x) for x > 0 (scalars or arrays)."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise DomainError("ln_gamma requires x > 0")
-    out = sp.gammaln(x)
-    return float(out) if out.ndim == 0 else out
-
-
-def gamma(x):
-    """Gamma(x) for x > 0."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise DomainError("gamma requires x > 0")
-    out = sp.gamma(x)
-    return float(out) if out.ndim == 0 else out
-
-
-def beta_fn(x: float, y: float) -> float:
-    """Beta function B(x, y) = Gamma(x)Gamma(y)/Gamma(x+y), log-domain."""
-    if x <= 0.0 or y <= 0.0:
-        raise DomainError("beta_fn requires positive arguments")
-    return math.exp(sp.gammaln(x) + sp.gammaln(y) - sp.gammaln(x + y))
-
-
-def erfc_scaled(x):
-    """erfcx(x) = exp(x^2) * erfc(x)."""
-    out = sp.erfcx(np.asarray(x, dtype=float))
-    return float(out) if out.ndim == 0 else out
 
 
 def q_function(x):
@@ -212,58 +173,4 @@ def fox_h(params: FoxHParams, z: float, rtol: float = 1e-10) -> float:
     raise AccuracyError(
         f"fox_h quadrature did not reach rtol={rtol:g} (achieved {achieved:g})",
         achieved=achieved,
-    )
-
-
-@dataclass(frozen=True)
-class SmallZExpansion:
-    """Leading small-z behaviour of a Fox H-function.
-
-    ``terms`` holds every (h_j*, b_j/B_j) residue pair for j <= m; ``value``
-    and ``exponent`` describe the dominant term(s).  ``degenerate`` is set
-    when two exponents tie, in which case ``value`` sums the tied terms.
-    """
-
-    value: float
-    exponent: float
-    terms: tuple[tuple[float, float], ...]
-    degenerate: bool = False
-
-
-def fox_h_small_z(params: FoxHParams, z: float) -> SmallZExpansion:
-    """Residue-based z -> 0 expansion: sum of h_j* z^{b_j/B_j}, j <= m."""
-    if z <= 0.0:
-        raise DomainError("fox_h_small_z requires z > 0")
-    if params.m < 1:
-        raise DomainError("small-z expansion needs m >= 1")
-    terms = []
-    for j in range(params.m):
-        bj, Bj = params.lower[j]
-        num = 1.0
-        for i in range(params.m):
-            if i == j:
-                continue
-            bi, Bi = params.lower[i]
-            num *= sp.gamma(bi - bj * Bi / Bj)
-        for i in range(params.n):
-            ai, Ai = params.upper[i]
-            num *= sp.gamma(1.0 - ai + bj * Ai / Bj)
-        den = Bj
-        for i in range(params.n, params.p):
-            ai, Ai = params.upper[i]
-            den *= sp.gamma(ai - bj * Ai / Bj)
-        for i in range(params.m, params.q):
-            bi, Bi = params.lower[i]
-            den *= sp.gamma(1.0 - bi + bj * Bi / Bj)
-        terms.append((num / den, bj / Bj))
-
-    exps = np.array([e for _, e in terms])
-    lead = exps.min()
-    tied = np.isclose(exps, lead, rtol=0.0, atol=1e-12)
-    value = sum(h * z**e for (h, e), t in zip(terms, tied) if t)
-    return SmallZExpansion(
-        value=value,
-        exponent=float(lead),
-        terms=tuple(terms),
-        degenerate=int(tied.sum()) > 1,
     )

@@ -7,8 +7,8 @@ Three representations are provided:
   alternating series cancels catastrophically in float64;
 * a Psi-node mixture approximation for the i.n.i.d. alpha-mu (form B) sum,
   built by the classical Gaussian-quadrature-from-moments construction and
-  refined by a damped Newton pass that enforces the exact small-argument
-  leading coefficient;
+  refined by a log-space Levenberg-Marquardt solve that enforces the exact
+  small-argument leading coefficient;
 * a numerical-convolution oracle used to validate both.
 """
 
@@ -28,11 +28,9 @@ from .channel_models import AlphaMuA, AlphaMuB, envelope_moment
 from .errors import AccuracyError, DomainError, EvaluationError
 
 __all__ = [
-    "delta_coefficients",
     "IidAlphaMuSum",
     "iid_sum_power_pdf",
     "moments_of_sum",
-    "xi_coefficient",
     "MixtureNodes",
     "solve_mixture_nodes",
     "inid_sum_power_pdf",
@@ -47,8 +45,20 @@ __all__ = [
 # or below and are returned as 0 (see _tail_exponent / _series_mp).
 _TAIL_CUTOFF = 30.0
 
+
+def _series_dps(alpha_bar: float, l_branches: int) -> int:
+    """Working precision covering the series' worst cancellation.
+
+    The largest term magnitude in the evaluated region (tail exponent
+    <= _TAIL_CUTOFF) is exp(_TAIL_CUTOFF * L^alpha_bar); the working
+    precision must absorb that many digits of cancellation.
+    """
+    x_max = _TAIL_CUTOFF * l_branches ** max(alpha_bar, 1.0)
+    return 40 + int(x_max / math.log(10.0))
+
+
 def _delta_mp(alpha_bar: float, mu: float, z_bar: float, l_branches: int,
-              count: int, dps: int = 60) -> list:
+              count: int, dps: int) -> list:
     """delta_0..delta_{count-1} via the printed recursion, in mpmath.
 
     The deltas alternate in sign and grow like Gamma(alpha_bar*i), so the
@@ -69,23 +79,6 @@ def _delta_mp(alpha_bar: float, mu: float, z_bar: float, l_branches: int,
                 acc += deltas[i - ell] * (ell * L + ell - i) * terms[ell]
             deltas.append(acc / (i * g0))
         return deltas
-
-
-def delta_coefficients(alpha_bar: float, mu: float, z_bar: float,
-                       l_branches: int, count: int) -> np.ndarray:
-    """Series coefficients delta_i of the i.i.d. alpha-mu sum PDF."""
-    if count < 1:
-        raise DomainError("count must be >= 1")
-    if l_branches < 1:
-        raise DomainError("l_branches must be a positive integer")
-    if alpha_bar <= 0 or mu <= 0 or z_bar <= 0:
-        raise DomainError("alpha_bar, mu, z_bar must be positive")
-    out = np.array([float(d) for d in _delta_mp(alpha_bar, mu, z_bar,
-                                                l_branches, count)])
-    if not np.all(np.isfinite(out)):
-        bad = int(np.argmax(~np.isfinite(out)))
-        raise EvaluationError(f"delta coefficient overflow at index {bad}")
-    return out
 
 
 @dataclass(frozen=True)
@@ -116,15 +109,8 @@ class IidAlphaMuSum:
             raise DomainError("truncation must be >= 8")
         ab = model.alpha / 2.0
         zb = (model.z_hat * nu) ** 2
-        phi0 = ab * model.mu * l_branches
-        dps = 40 + int(_TAIL_CUTOFF * l_branches ** max(ab, 1.0)
-                       / math.log(10.0))
-        deltas = _cached_mp_deltas(ab, model.mu, zb, l_branches, truncation,
-                                   dps)
-        with mp.workdps(dps):
-            coeffs = np.array([
-                float(d / mp.gamma(i * ab + phi0))
-                for i, d in enumerate(deltas)])
+        coeffs = np.array([float(c) for c in _mp_coeffs(
+            ab, model.mu, zb, l_branches, truncation)])
         if not np.all(np.isfinite(coeffs)):
             bad = int(np.argmax(~np.isfinite(coeffs)))
             raise EvaluationError(f"series coefficient overflow at index {bad}")
@@ -137,17 +123,6 @@ class IidAlphaMuSum:
         return self.alpha_bar * self.mu * self.l_branches
 
     @property
-    def mp_dps(self) -> int:
-        """Working precision covering the series' worst cancellation.
-
-        The largest term magnitude in the evaluated region (tail exponent
-        <= _TAIL_CUTOFF) is exp(_TAIL_CUTOFF * L^alpha_bar); the working
-        precision must absorb that many digits of cancellation.
-        """
-        x_max = _TAIL_CUTOFF * self.l_branches ** max(self.alpha_bar, 1.0)
-        return 40 + int(x_max / math.log(10.0))
-
-    @property
     def ln_prefactor(self) -> float:
         ab, m = self.alpha_bar, self.mu
         single = (math.log(ab) + m * math.log(m) - sp.gammaln(m)
@@ -156,14 +131,14 @@ class IidAlphaMuSum:
 
 
 @lru_cache(maxsize=16)
-def _cached_mp_deltas(alpha_bar, mu, z_bar, l_branches, count, dps=60):
-    return _delta_mp(alpha_bar, mu, z_bar, l_branches, count, dps)
+def _mp_coeffs(alpha_bar, mu, z_bar, l_branches, count) -> list:
+    """Gamma-scaled mpf coefficients delta_i / Gamma(i*alpha_bar + phi0).
 
-
-@lru_cache(maxsize=16)
-def _cached_mp_scaled(alpha_bar, mu, z_bar, l_branches, count, dps):
-    """Gamma-scaled mpf coefficients delta_i / Gamma(i*a + phi0)."""
-    deltas = _cached_mp_deltas(alpha_bar, mu, z_bar, l_branches, count, dps)
+    One table serves the float coefficients of ``IidAlphaMuSum.build`` and
+    the high-precision fallback ``_series_mp``.
+    """
+    dps = _series_dps(alpha_bar, l_branches)
+    deltas = _delta_mp(alpha_bar, mu, z_bar, l_branches, count, dps)
     phi0 = alpha_bar * mu * l_branches
     with mp.workdps(dps):
         ab = mp.mpf(alpha_bar)
@@ -192,10 +167,9 @@ def _series_mp(s: IidAlphaMuSum, y: float) -> float:
     if _tail_exponent(s, y) > _TAIL_CUTOFF:
         return 0.0
     count = s.truncation
-    dps = s.mp_dps
+    dps = _series_dps(s.alpha_bar, s.l_branches)
     while True:
-        coeffs = _cached_mp_scaled(s.alpha_bar, s.mu, s.z_bar, s.l_branches,
-                                   count, dps)
+        coeffs = _mp_coeffs(s.alpha_bar, s.mu, s.z_bar, s.l_branches, count)
         with mp.workdps(dps):
             w = mp.mpf(y) ** mp.mpf(s.alpha_bar)
             acc = mp.mpf(0)
@@ -298,15 +272,6 @@ def moments_of_sum(branches, nu: float, n: int) -> float:
     return float(acc[n])
 
 
-def xi_coefficient(mu_bar: float, alpha_bar: float, n: int) -> float:
-    """Normalized-moment factor Gamma(mu+n/a)Gamma^{n-1}(mu)/Gamma^n(mu+1/a)."""
-    if n < 0:
-        raise DomainError("xi_coefficient requires n >= 0")
-    ln = (sp.gammaln(mu_bar + n / alpha_bar) + (n - 1) * sp.gammaln(mu_bar)
-          - n * sp.gammaln(mu_bar + 1.0 / alpha_bar))
-    return math.exp(ln)
-
-
 # --- i.n.i.d. mixture approximation ------------------------------------------
 
 @dataclass(frozen=True)
@@ -396,12 +361,12 @@ def _leading_coefficient_target(branches, nu: float, alpha_bar: float,
     return math.exp(ln_target)
 
 
-def solve_mixture_nodes(branches, nu: float, psi: int = 4,
-                        tol: float = 1e-10, max_iter: int = 80) -> MixtureNodes:
+def solve_mixture_nodes(branches, nu: float, psi: int = 4) -> MixtureNodes:
     """Fit the Psi-node mixture to the i.n.i.d. alpha-mu (form B) sum.
 
     Initial nodes come from the Hankel/orthogonal-polynomial construction on
-    the normalized sum moments; a damped Newton pass then trades the highest
+    the normalized sum moments; a Levenberg-Marquardt solve in the logs of
+    weights and nodes (which keeps both positive) then trades the highest
     moment equation for the exact leading-coefficient constraint.
     """
     if psi < 2:
@@ -453,51 +418,10 @@ def solve_mixture_nodes(branches, nu: float, psi: int = 4,
     def residuals_log(u):
         return residuals(np.exp(u[:k]), np.exp(u[k:]))
 
-    def jacobian(c, w):
-        J = np.zeros((2 * k, 2 * k))
-        for n in range(2 * k - 1):
-            J[n, :k] = w**n
-            J[n, k:] = n * c * w ** (n - 1) if n > 0 else 0.0
-        J[2 * k - 1, :k] = w**(-am)
-        J[2 * k - 1, k:] = -am * c * w**(-am - 1.0)
-        return J
-
-    def newton_polish(c, w):
-        r = residuals(c, w)
-        for _ in range(max_iter):
-            try:
-                step = np.linalg.solve(jacobian(c, w), -r)
-            except np.linalg.LinAlgError:
-                break
-            lam, improved = 1.0, None
-            for _ in range(40):
-                c_try, w_try = c + lam * step[:k], w + lam * step[k:]
-                if np.all(w_try > 0):
-                    r_try = residuals(c_try, w_try)
-                    if np.linalg.norm(r_try) < np.linalg.norm(r):
-                        improved = (c_try, w_try, r_try)
-                        break
-                lam *= 0.5
-            if improved is None:
-                break
-            c, w, r = improved
-        return c, w
-
-    # No single solver wins on every moment system, so run three from the
-    # Gauss initialization and keep the best: damped Newton, log-space
-    # Levenberg-Marquardt (positivity built in), and a Powell-hybrid polish.
     u0 = np.concatenate([np.log(weights), np.log(nodes)])
-    lm = optimize.least_squares(residuals_log, u0, method="lm",
-                                xtol=min(tol, 1e-14), ftol=min(tol, 1e-14),
-                                gtol=min(tol, 1e-14),
-                                max_nfev=200 * max_iter)
-    hybr = optimize.root(residuals_log, lm.x, method="hybr",
-                         options={"xtol": 1e-14, "maxfev": 200 * max_iter})
-    candidates = [newton_polish(weights.copy(), nodes.copy()),
-                  (np.exp(lm.x[:k]), np.exp(lm.x[k:])),
-                  (np.exp(hybr.x[:k]), np.exp(hybr.x[k:]))]
-    c, w = min(candidates,
-               key=lambda cw: np.max(np.abs(residuals(*cw))))
+    lm = optimize.least_squares(residuals_log, u0, method="lm", xtol=1e-14,
+                                ftol=1e-14, gtol=1e-14, max_nfev=16000)
+    c, w = np.exp(lm.x[:k]), np.exp(lm.x[k:])
     r = residuals(c, w)
     scale = max(1.0, abs(target))
     res = float(np.max(np.abs(r)) / scale)

@@ -15,7 +15,6 @@ from thzdiv.ber_analytic import (
     ber_exact_quadrature,
     ber_mg_asymptote,
     ber_mg_mgf,
-    multinomial_compositions,
 )
 from thzdiv.channel_models import (
     AlphaMuA,
@@ -232,12 +231,6 @@ class TestMgAsymptote:
 
 
 class TestHelpers:
-    def test_multinomial_compositions_count(self):
-        combos = list(multinomial_compositions(3, 4))
-        assert len(combos) == math.comb(4 + 3 - 1, 3 - 1)
-        assert all(sum(c) == 4 for c in combos)
-        assert len(set(combos)) == len(combos)
-
     def test_asymptote_law_callable(self):
         law = AsymptoteLaw(kappa1=2.0, kappa2=1.5,
                            source=AsymptoteSource.FITTED)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thzdiv.ber_analytic import AsymptoteLaw, AsymptoteSource
+from thzdiv.cli import _parse_grid
 from thzdiv.diversity_fit import compare_to_theory, fit_power_law
 from thzdiv.errors import DomainError
 from thzdiv.monte_carlo import BerCurve, BerPoint
@@ -36,6 +37,12 @@ class TestExactRecovery:
         curve = make_curve(ups, 0.5 * ups**-2.0)
         report = fit_power_law(curve)
         assert report.window == (1e3, 1e4)
+        # The CLI's -5..25 dB grid: 10**1.5 rounds just below 10**2.5 / 10,
+        # and the fit must still use the 15, 20 and 25 dB points.
+        ups = np.array(_parse_grid({"start": -5, "stop": 25, "step": 5}))
+        report = fit_power_law(make_curve(ups, 0.01 * ups**-2.0))
+        assert report.window == (ups[-1] / 10.0, ups[-1])
+        assert len(report.residuals) == 3
 
     def test_residuals_zero_for_exact_law(self):
         ups = np.geomspace(10.0, 100.0, 5)

@@ -17,7 +17,6 @@ from thzdiv.errors import DomainError
 from thzdiv.monte_carlo import (
     BerCurve,
     BerPoint,
-    gamma_variate,
     sample_branch_envelope,
     simulate_mrc_ber,
 )
@@ -51,17 +50,8 @@ class TestSamplers:
         val = sample_branch_envelope(RAYLEIGH, 1.0, stream)
         assert isinstance(val, float) and val > 0.0
 
-    def test_gamma_variate_moments(self):
-        stream = np.random.Generator(np.random.PCG64(3))
-        shape = 0.51571  # shape < 1 exercises the boosted sampler path
-        draws = gamma_variate(shape, stream, size=300_000)
-        assert np.mean(draws) == pytest.approx(shape, rel=0.01)
-        assert np.var(draws) == pytest.approx(shape, rel=0.02)
-
     def test_rejects_bad_shape(self):
         stream = np.random.Generator(np.random.PCG64(4))
-        with pytest.raises(DomainError):
-            gamma_variate(0.0, stream)
         with pytest.raises(DomainError):
             sample_branch_envelope(RAYLEIGH, 0.0, stream)
 

@@ -13,16 +13,7 @@ import pytest
 from scipy import special as sp
 
 from thzdiv.errors import DomainError, EvaluationError
-from thzdiv.specfun import (
-    FoxHParams,
-    beta_fn,
-    erfc_scaled,
-    fox_h,
-    fox_h_small_z,
-    gamma,
-    ln_gamma,
-    q_function,
-)
+from thzdiv.specfun import FoxHParams, fox_h, q_function
 
 # H^{1,0}_{0,1}[z | -; (0,1)] = exp(-z)
 H_EXP = FoxHParams(m=1, n=0, upper=(), lower=((0.0, 1.0),))
@@ -34,30 +25,6 @@ def h_binom(a: float) -> FoxHParams:
 
 
 class TestScalarWrappers:
-    def test_ln_gamma_matches_math_lgamma(self):
-        for x in (0.3, 1.0, 2.5, 41.7):
-            assert ln_gamma(x) == pytest.approx(math.lgamma(x), rel=1e-14)
-
-    def test_gamma_matches_factorial(self):
-        assert gamma(5.0) == pytest.approx(24.0, rel=1e-14)
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            ln_gamma(0.0)
-        with pytest.raises(DomainError):
-            gamma(-1.0)
-        with pytest.raises(DomainError):
-            beta_fn(1.0, 0.0)
-
-    def test_beta_fn_identity(self):
-        assert beta_fn(2.5, 3.5) == pytest.approx(
-            math.gamma(2.5) * math.gamma(3.5) / math.gamma(6.0), rel=1e-13)
-
-    def test_erfcx_definition(self):
-        for x in (0.0, 0.5, 3.0):
-            assert erfc_scaled(x) == pytest.approx(
-                math.exp(x * x) * math.erfc(x), rel=1e-12)
-
     def test_q_function_moderate(self):
         for x in (-2.0, 0.0, 1.0, 5.0):
             ref = 0.5 * sp.erfc(x / math.sqrt(2.0))
@@ -83,7 +50,7 @@ class TestFoxHClosedForms:
         assert fox_h(H_EXP, z) == pytest.approx(math.exp(-z), rel=1e-9)
 
     @pytest.mark.parametrize("a", [0.7, 1.5, 4.2])
-    @pytest.mark.parametrize("z", [0.1, 1.0, 9.0])
+    @pytest.mark.parametrize("z", [1e-4, 0.1, 1.0, 9.0])
     def test_binomial_kernel(self, a, z):
         ref = math.gamma(a) * (1.0 + z) ** (-a)
         assert fox_h(h_binom(a), z) == pytest.approx(ref, rel=1e-9)
@@ -135,28 +102,3 @@ class TestFoxHValidation:
                             lower=((0.0, 1.0),))
         with pytest.raises(EvaluationError):
             fox_h(params, 1.0)
-
-
-class TestSmallZExpansion:
-    def test_exponential_leading_term(self):
-        exp_ = fox_h_small_z(H_EXP, 1e-6)
-        assert exp_.exponent == pytest.approx(0.0)
-        assert exp_.value == pytest.approx(1.0, rel=1e-12)
-        assert not exp_.degenerate
-
-    @pytest.mark.parametrize("a", [0.9, 2.3])
-    def test_binomial_leading_term(self, a):
-        exp_ = fox_h_small_z(h_binom(a), 1e-8)
-        assert exp_.value == pytest.approx(math.gamma(a), rel=1e-7)
-
-    def test_matches_full_evaluation_at_small_z(self):
-        z = 1e-4
-        full = fox_h(h_binom(1.5), z)
-        lead = fox_h_small_z(h_binom(1.5), z).value
-        assert lead == pytest.approx(full, rel=2e-4)
-
-    def test_requires_m_at_least_one(self):
-        params = FoxHParams(m=0, n=1, upper=((0.0, 1.0),),
-                            lower=((0.0, 1.0),))
-        with pytest.raises(DomainError):
-            fox_h_small_z(params, 0.1)

@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate
 
 from thzdiv.channel_models import (
+    AlphaMuA,
     AlphaMuB,
     alpha_mu_a_preset,
     alpha_mu_b_preset,
@@ -17,7 +18,6 @@ from thzdiv.errors import DomainError
 from thzdiv.sum_dist import (
     IidAlphaMuSum,
     convolution_oracle,
-    delta_coefficients,
     iid_sum_power_pdf,
     inid_sum_power_pdf,
     moments_of_sum,
@@ -80,10 +80,13 @@ class TestIidSeries:
             iid_sum_power_pdf(s1, 0.9) / 4.0, rel=1e-8)
 
     def test_delta_recursion_base(self):
-        # delta_0 = Gamma(alpha_bar * mu)^L by construction.
-        d = delta_coefficients(1.726, 0.51571, 1.0, 2, count=4)
-        assert d[0] == pytest.approx(math.gamma(1.726 * 0.51571) ** 2,
-                                     rel=1e-12)
+        # delta_0 = Gamma(alpha_bar * mu)^L by construction, and coeffs[0]
+        # scales it by 1/Gamma(phi0) with phi0 = alpha_bar * mu * L.
+        s = IidAlphaMuSum.build(AlphaMuA(alpha=2 * 1.726, mu=0.51571),
+                                nu=1.0, l_branches=2, truncation=8)
+        am = 1.726 * 0.51571
+        assert s.coeffs[0] == pytest.approx(
+            math.gamma(am) ** 2 / math.gamma(2 * am), rel=1e-12)
 
     def test_rejects_bad_build(self):
         with pytest.raises(DomainError):
