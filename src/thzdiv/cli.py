@@ -52,6 +52,7 @@ from .diversity_fit import compare_to_theory, fit_power_law
 from .errors import AccuracyError, DomainError, EvaluationError
 from .mg_laplace import (
     SquaredMgSnr,
+    laplace_exact_series,
     laplace_high_snr,
     laplace_numeric_oracle,
     snr_pdf_mg,
@@ -91,40 +92,57 @@ def _reject_unknown(d: dict, path: str):
         raise ScenarioError(f"{path}: unknown field(s) {sorted(d)}")
 
 
+def _number(d: dict, key: str, path: str, required: bool = False,
+            default=None, kind=float):
+    value = _pop(d, key, path, required=required, default=default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(
+            f"{path}.{key}: expected a number, got {value!r}") from exc
+
+
 def _parse_branch(node, idx: int):
     path = f"branches[{idx}]"
     if not isinstance(node, dict):
         raise ScenarioError(f"{path}: expected an object")
     node = dict(node)
-    copies = int(_pop(node, "copies", path, default=1))
+    copies = _number(node, "copies", path, default=1, kind=int)
     if copies < 1:
         raise ScenarioError(f"{path}: copies must be >= 1")
     preset = _pop(node, "preset", path)
     kind = _pop(node, "type", path)
     if preset is not None:
+        if str(preset) not in list_presets():
+            raise ScenarioError(f"{path}.preset: unknown preset {preset!r}")
         if str(preset).startswith("mg_"):
             if kind not in (None, "mixture_gamma"):
                 raise ScenarioError(f"{path}: preset '{preset}' is mixture_gamma")
             model = mg_preset(str(preset))
         elif kind == "alpha_mu_b":
-            model = alpha_mu_b_preset(str(preset),
-                                      x_mean=float(_pop(node, "x_mean", path, default=1.0)))
+            model = alpha_mu_b_preset(
+                str(preset), x_mean=_number(node, "x_mean", path, default=1.0))
         else:
-            model = alpha_mu_a_preset(str(preset),
-                                      z_hat=float(_pop(node, "z_hat", path, default=1.0)))
+            model = alpha_mu_a_preset(
+                str(preset), z_hat=_number(node, "z_hat", path, default=1.0))
         _reject_unknown(node, path)
         return [model] * copies
     if kind == "alpha_mu_a":
-        model = AlphaMuA(alpha=float(_pop(node, "alpha", path, required=True)),
-                         mu=float(_pop(node, "mu", path, required=True)),
-                         z_hat=float(_pop(node, "z_hat", path, default=1.0)))
+        model = AlphaMuA(alpha=_number(node, "alpha", path, required=True),
+                         mu=_number(node, "mu", path, required=True),
+                         z_hat=_number(node, "z_hat", path, default=1.0))
     elif kind == "alpha_mu_b":
-        model = AlphaMuB(alpha=float(_pop(node, "alpha", path, required=True)),
-                         mu=float(_pop(node, "mu", path, required=True)),
-                         x_mean=float(_pop(node, "x_mean", path, default=1.0)))
+        model = AlphaMuB(alpha=_number(node, "alpha", path, required=True),
+                         mu=_number(node, "mu", path, required=True),
+                         x_mean=_number(node, "x_mean", path, default=1.0))
     elif kind == "mixture_gamma":
         comps = _pop(node, "components", path, required=True)
-        model = MixtureGamma(components=tuple(tuple(map(float, c)) for c in comps))
+        try:
+            comps = tuple((float(w), float(b), float(z)) for w, b, z in comps)
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(
+                f"{path}.components: expected a list of [w, beta, zeta]") from exc
+        model = MixtureGamma(components=comps)
     else:
         raise ScenarioError(f"{path}: unknown branch type {kind!r}")
     _reject_unknown(node, path)
@@ -446,6 +464,13 @@ def _cmd_verify(args) -> int:
     rel = abs(lap_h - lap_n) / lap_n
     ok &= _check("high-SNR Laplace within 1% at Upsilon=1e6", rel < 0.01,
                  f"rel={rel:.3e}")
+    # Closed form vs numeric oracle where zeta / sqrt(Upsilon s) is about 15.
+    snr = SquaredMgSnr.from_model(mg, 1e-4, 1.0)
+    lap_c = laplace_exact_series(snr, 1.0)
+    lap_n = laplace_numeric_oracle(lambda y: snr_pdf_mg(snr, y), 1.0)
+    rel = abs(lap_c - lap_n) / lap_n
+    ok &= _check("closed-form Laplace equals the numeric oracle at "
+                 "Upsilon=1e-4", rel < 1e-6, f"rel={rel:.3e}")
 
     # MG i.n.i.d. diversity exponent (Configs 1+2).
     _, law = ber_mg_asymptote([mg_preset("mg_config1"), mg_preset("mg_config2")],

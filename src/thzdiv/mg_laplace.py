@@ -2,9 +2,9 @@
 
 For gamma' = Upsilon |h|^2 under mixture-of-gamma fading the density is a
 sum of stretched-exponential terms a_i y^{b_i-1} exp(-c_i sqrt(y)); its
-Laplace transform admits an exact residue series (convergent for small
-c_i/sqrt(s), i.e. large Upsilon*s) whose first term is the high-SNR
-approximation.  A quadrature oracle covers the remaining region.
+Laplace transform has a closed form in Tricomi's U at every SNR, whose
+large-Upsilon*s limit a_i Gamma(b_i) s^{-b_i} is the high-SNR
+approximation.  A quadrature oracle serves as the independent reference.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from scipy import integrate
 from scipy import special as sp
 
 from .channel_models import MixtureGamma
-from .errors import AccuracyError, DomainError, EvaluationError
+from .errors import DomainError, EvaluationError
 
 __all__ = [
     "SquaredMgSnr",
@@ -84,48 +84,29 @@ def snr_pdf_mg(s: SquaredMgSnr, y):
     return float(out[0]) if scalar else out
 
 
-def laplace_exact_series(s: SquaredMgSnr, s_arg: float, terms: int = 200) -> float:
-    """Residue series of L{f_gamma'}(s), truncated after ``terms`` terms.
+def laplace_exact_series(s: SquaredMgSnr, s_arg):
+    """Closed-form L{f_gamma'}(s), vectorised over ``s_arg``.
 
-    Converges usefully only while the expansion argument c_i/sqrt(s) stays
-    below 1; otherwise an AccuracyError recommends the numeric oracle.
+    Each component transforms as (Gradshteyn & Ryzhik 3.462.1)
+    a 2 Gamma(2b) (4s)^{-b} U(b, 1/2, c^2/(4s)), with U Tricomi's confluent
+    hypergeometric function.  The terms are summed from the log domain so
+    that a huge prefactor times an underflowed U gives 0, never inf * 0.
+    Accurate to about 1e-8 relative, the accuracy of ``scipy.special.hyperu``.
     """
-    if s_arg <= 0:
+    s_arr = np.asarray(s_arg, dtype=float)
+    if np.any(s_arr <= 0):
         raise DomainError("laplace_exact_series requires s_arg > 0")
-    if terms < 1:
-        raise DomainError("terms must be >= 1")
-    total = 0.0
-    worst_ratio = 0.0
-    for ai, bi, ci in zip(s.a, s.b, s.c):
-        x = ci / math.sqrt(s_arg)
-        worst_ratio = max(worst_ratio, x)
-        acc = 0.0
-        maxterm = 0.0
-        last = math.inf
-        for t in range(terms):
-            ln_mag = (sp.gammaln((2.0 * bi + t) / 2.0) + t * math.log(x)
-                      - sp.gammaln(t + 1.0))
-            term = ((-1.0) ** t) * math.exp(ln_mag)
-            acc += term
-            maxterm = max(maxterm, abs(term))
-            last = abs(term)
-            if t >= 1 and last < 1e-16 * max(abs(acc), 1e-300):
-                break
-        else:
-            # Truncated at the requested term count; only a divergent-looking
-            # expansion argument is an error (deliberate truncation is not).
-            if x >= 1.0 and last > 1e-12 * max(abs(acc), 1e-300):
-                raise AccuracyError(
-                    f"series argument {x:.3g} converges too slowly at "
-                    f"{terms} terms; use laplace_numeric_oracle",
-                    achieved=last / max(abs(acc), 1e-300))
-        if maxterm * 1e-16 > 1e-10 * max(abs(acc), 1e-300):
-            raise AccuracyError(
-                "catastrophic cancellation in residue series; "
-                "use laplace_numeric_oracle",
-                achieved=maxterm * 1e-16 / max(abs(acc), 1e-300))
-        total += ai * s_arg ** (-bi) * acc
-    return total
+    scalar = s_arr.ndim == 0
+    x = np.atleast_1d(s_arr)[:, None]
+    # a_i may underflow to 0 and U to 0: log(0) = -inf drops the term.
+    with np.errstate(divide="ignore"):
+        ln_terms = (np.log(s.a) + math.log(2.0) + sp.gammaln(2.0 * s.b)
+                    - s.b * np.log(4.0 * x)
+                    + np.log(sp.hyperu(s.b, 0.5, s.c ** 2 / (4.0 * x))))
+    vals = np.sum(np.exp(ln_terms), axis=1)
+    if not np.all(np.isfinite(vals)):
+        raise EvaluationError("closed-form Laplace transform is not finite")
+    return float(vals[0]) if scalar else vals
 
 
 def laplace_high_snr(s: SquaredMgSnr, s_arg) -> float:

@@ -168,8 +168,9 @@ class TestMgMgf:
         mgf = ber_mg_mgf(branches, 1.0, 2, u, g=1.0)
         assert mgf == pytest.approx(direct, rel=2e-3)
 
-    def test_low_snr_falls_back_to_oracle(self):
-        # The residue series diverges here; the MGF route must still work.
+    def test_closed_form_at_low_snr(self):
+        # -40 dB: zeta / sqrt(Upsilon s) reaches about 15, where a residue
+        # series diverges; the Tricomi-U closed form holds at every SNR.
         val = ber_mg_mgf([self.CFG1] * 2, 1.0, 2, 1e-4, g=1.0)
         assert 0.0 < val < 0.5
         assert val == pytest.approx(0.0315760441411177, rel=1e-6)

@@ -195,8 +195,38 @@ class TestOtherSubcommands:
         assert rc == 1
         assert "scenario error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("branch,field", [
+        ({"preset": "nope"}, r"branches[0].preset"),
+        ({"type": "alpha_mu_a", "alpha": "x", "mu": 0.5}, r"branches[0].alpha"),
+        ({"type": "mixture_gamma",
+          "components": [[0.5, 4.0, 0.1], [0.5, 2.0]]},
+         r"branches[0].components"),
+    ], ids=["unknown_preset", "non_numeric_field", "short_component"])
+    def test_malformed_branch_is_a_scenario_error(self, tmp_path, capsys,
+                                                  branch, field):
+        scn = write_scn(tmp_path, dict(SCN_A, branches=[branch]))
+        rc = main(["ber", "--scenario", scn, "--method", "asymptotic",
+                   "--out", str(tmp_path / "o.csv")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("scenario error: ")
+        assert field in err
+        assert "Traceback" not in err
+
+    def test_mg_at_minus_100_db_is_a_clean_error(self, tmp_path, capsys):
+        # The theta integrand has a layer about sqrt(Upsilon) wide that the
+        # fixed rules cannot resolve; the route must refuse, not crash.
+        doc = dict(SCN_MG, branches=[{"preset": "mg_config1", "copies": 2}],
+                   snr_db={"start": -100, "stop": -100, "step": 1})
+        rc = main(["ber", "--scenario", write_scn(tmp_path, doc),
+                   "--method", "mgf", "--out", str(tmp_path / "o.csv")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_verify_passes(self, capsys):
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert out.count("PASS") == 6
+        assert out.count("PASS") == 7

@@ -1,11 +1,12 @@
 """Laplace transform of the squared mixture-of-gamma SNR density."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
 
 from thzdiv.channel_models import envelope_moment, mg_preset
-from thzdiv.errors import AccuracyError, DomainError, EvaluationError
+from thzdiv.errors import DomainError, EvaluationError
 from thzdiv.mg_laplace import (
     SquaredMgSnr,
     laplace_exact_series,
@@ -69,18 +70,45 @@ class TestExactSeries:
         assert laplace_exact_series(s, 1.0) == pytest.approx(
             6.371340250708064e-15, rel=1e-10)
 
-    def test_divergent_argument_raises(self):
-        # c_i / sqrt(s) >= 1 makes the expansion useless.
-        s = _snr(CONFIGS[0], 1e-6)
-        with pytest.raises(AccuracyError):
-            laplace_exact_series(s, 1.0)
+    @pytest.mark.parametrize("cfg,upsilon,s_args", [
+        (CONFIGS[0], 1e-6, [1.0]),
+        *[(cfg, u, [1.0, 3.0, 30.0, 1e3])
+          for cfg in CONFIGS for u in (1e-4, 10.0 ** -3.5)],
+    ])
+    def test_matches_mpmath_where_series_diverged(self, cfg, upsilon, s_args):
+        # c_i / sqrt(s) >= 1 here: a residue series in that ratio diverges,
+        # the closed form a 2 Gamma(2b) (4s)^-b U(b, 1/2, c^2/4s) does not.
+        s = _snr(cfg, upsilon)
+        with mp.workdps(40):
+            for x in s_args:
+                ref = sum(
+                    mp.mpf(a) * 2 * mp.gamma(2 * mp.mpf(b))
+                    * (4 * mp.mpf(x)) ** -mp.mpf(b)
+                    * mp.hyperu(mp.mpf(b), 0.5, mp.mpf(c) ** 2 / (4 * mp.mpf(x)))
+                    for a, b, c in zip(s.a, s.b, s.c))
+                assert laplace_exact_series(s, x) == pytest.approx(
+                    float(ref), rel=1e-8)
+
+    @pytest.mark.parametrize("upsilon", [1e-4, 10.0 ** -3.5])
+    def test_matches_oracle_at_low_snr(self, upsilon):
+        for cfg in CONFIGS:
+            s = _snr(cfg, upsilon)
+            for x in (1.0, 10.0, 1e3):
+                oracle = laplace_numeric_oracle(lambda y: snr_pdf_mg(s, y), x)
+                assert laplace_exact_series(s, x) == pytest.approx(
+                    oracle, rel=1e-6)
+
+    def test_array_equals_scalar_calls(self):
+        s = _snr(CONFIGS[2], 1e-3)
+        xs = np.geomspace(1.0, 1e5, 17)
+        out = laplace_exact_series(s, xs)
+        assert out.shape == xs.shape
+        assert list(out) == [laplace_exact_series(s, x) for x in xs]
 
     def test_rejects_bad_args(self):
         s = _snr(CONFIGS[0], 1.0)
         with pytest.raises(DomainError):
             laplace_exact_series(s, 0.0)
-        with pytest.raises(DomainError):
-            laplace_exact_series(s, 1.0, terms=0)
 
 
 class TestHighSnrLimit:
