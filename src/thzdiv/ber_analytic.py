@@ -27,7 +27,6 @@ from .errors import DomainError, EvaluationError
 from .mg_laplace import (
     SquaredMgSnr,
     laplace_exact_series,
-    laplace_high_snr,
     laplace_numeric_oracle,
     snr_pdf_mg,
 )
@@ -46,6 +45,9 @@ __all__ = [
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
+
+# Most component index tuples ber_mg_asymptote enumerates in full.
+_TERM_CAP = 10**6
 
 
 class AsymptoteSource(enum.Enum):
@@ -180,17 +182,16 @@ def _theta_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ber_mg_mgf(branches, nu: float, l_branches: int, upsilon: float,
-               g: float = 1.0, mode: str = "exact") -> float:
+               g: float = 1.0) -> float:
     """Craig-form MGF BER for MG branches: (1/pi) int prod_l L_l(g/sin^2).
 
-    ``exact`` evaluates each distinct branch's Laplace transform at all
-    nodes of a theta rule in one call to the Tricomi-U closed form
-    ``laplace_exact_series``, valid at every SNR.  ``high_snr`` keeps only
-    its large-Upsilon leading term a_i Gamma(b_i) s^{-b_i}.  The 64-node
-    estimate is checked against 96 nodes, and against 192 when they
-    disagree.  At very low SNR (-85 dB and below for the shipped presets)
-    the integrand has a layer about sqrt(Upsilon) wide near theta = 0
-    that no rule resolves, and the check raises EvaluationError.
+    Each distinct branch's Laplace transform is evaluated at all nodes of a
+    theta rule in one call to the Tricomi-U closed form
+    ``laplace_exact_series``, valid at every SNR.  The 64-node estimate is
+    checked against 96 nodes, and against 192 when they disagree.  At very
+    low SNR (-85 dB and below for the shipped presets) the integrand has a
+    layer about sqrt(Upsilon) wide near theta = 0 that no rule resolves,
+    and the check raises EvaluationError.
     """
     if upsilon <= 0 or g <= 0:
         raise DomainError("ber_mg_mgf requires upsilon > 0 and g > 0")
@@ -199,11 +200,8 @@ def ber_mg_mgf(branches, nu: float, l_branches: int, upsilon: float,
         branches = branches * l_branches
     if len(branches) != l_branches:
         raise DomainError("branches must have length 1 or l_branches")
-    if mode not in ("exact", "high_snr"):
-        raise DomainError("mode must be 'exact' or 'high_snr'")
 
     snrs = [SquaredMgSnr.from_model(b, upsilon, nu) for b in branches]
-    lap = laplace_high_snr if mode == "high_snr" else laplace_exact_series
 
     def estimate(n_nodes: int) -> float:
         theta, w = _theta_nodes(n_nodes)
@@ -213,7 +211,7 @@ def ber_mg_mgf(branches, nu: float, l_branches: int, upsilon: float,
         for snr in snrs:
             key = id(snr.source)
             if key not in cache:
-                cache[key] = lap(snr, s_vals)
+                cache[key] = laplace_exact_series(snr, s_vals)
             prod = prod * cache[key]
         return float(np.sum(w * prod) / math.pi)
 
@@ -228,7 +226,7 @@ def ber_mg_mgf(branches, nu: float, l_branches: int, upsilon: float,
 
 
 def ber_mg_asymptote(branches, nu: float, upsilon, g: float = 1.0,
-                     dominant_only: bool = False, term_cap: int = 10**6):
+                     dominant_only: bool = False):
     """High-SNR BER for L MG branches (identical branches allowed).
 
     Enumerates every component index tuple (n_1..n_L); each contributes
@@ -244,9 +242,9 @@ def ber_mg_asymptote(branches, nu: float, upsilon, g: float = 1.0,
         raise DomainError("ber_mg_asymptote expects MixtureGamma branches")
     sizes = [b.n_components for b in branches]
     n_terms = int(np.prod(sizes))
-    if n_terms > term_cap:
+    if n_terms > _TERM_CAP:
         raise EvaluationError(
-            f"{n_terms} index tuples exceed the cap {term_cap}; "
+            f"{n_terms} index tuples exceed the cap {_TERM_CAP}; "
             "use dominant_only=True")
 
     per_branch = []

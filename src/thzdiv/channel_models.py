@@ -203,17 +203,24 @@ def branch_scale_nu(link: LinkBudget) -> float:
     return math.sqrt(link.pt * link.gt * link.gr) * hp
 
 
-def _boundary_value(coef_at_zero: float, exponent: float) -> float:
-    """Density value at y = 0 given the local coefficient and y-exponent."""
-    if exponent > 0.0:
-        return 0.0
-    if exponent == 0.0:
-        return coef_at_zero
-    raise DomainError("density diverges at y = 0")
+def _boundary_value(coef, exponent) -> float:
+    """y = 0 value of sum_i coef_i y^exponent_i (arrays or scalars).
+
+    Positive exponents contribute 0 and zero exponents their coefficient;
+    a negative exponent makes the density diverge at y = 0.
+    """
+    coef, exponent = np.broadcast_arrays(coef, exponent)
+    if np.any(exponent < 0.0):
+        raise DomainError("density diverges at y = 0")
+    return float(np.sum(coef[exponent == 0.0]))
 
 
-def _eval_pointwise(y, positive_fn, zero_value_fn):
-    """Evaluate a density on y >= 0 with explicit y = 0 boundary handling."""
+def _eval_pointwise(y, positive_fn, coef, exponent):
+    """Evaluate a density on y >= 0: a float for a scalar y, else an array.
+
+    ``positive_fn`` maps an array of y > 0 to density values; at y = 0 the
+    density is the limit of its local form sum_i coef_i y^exponent_i.
+    """
     arr = np.asarray(y, dtype=float)
     if np.any(arr < 0.0):
         raise DomainError("density argument must be nonnegative")
@@ -223,31 +230,24 @@ def _eval_pointwise(y, positive_fn, zero_value_fn):
     pos = arr > 0.0
     if np.any(pos):
         out[pos] = positive_fn(arr[pos])
-    if np.any(~pos):
-        out[~pos] = zero_value_fn()
+    if not np.all(pos):
+        out[~pos] = _boundary_value(coef, exponent)
     return float(out[0]) if scalar else out
+
+
+def _alpha_mu_scale(model) -> float:
+    """Scale s of the alpha-mu envelope density shared by forms A and B,
+    alpha x^(alpha mu - 1) exp(-(x/s)^alpha) / (s^(alpha mu) Gamma(mu)):
+    s = z_hat / mu^(1/alpha) for form A and x_mean / beta for form B."""
+    if isinstance(model, AlphaMuA):
+        return model.z_hat / model.mu ** (1.0 / model.alpha)
+    if isinstance(model, AlphaMuB):
+        return model.x_mean / model.beta_param
+    raise TypeError(f"unknown branch model {type(model)!r}")
 
 
 def envelope_pdf(model: BranchModel, y):
     """PDF of the small-scale fading envelope |h_f| at y >= 0."""
-    if isinstance(model, AlphaMuA):
-        a, m, zh = model.alpha, model.mu, model.z_hat
-        lncoef = math.log(a) + m * math.log(m) - a * m * math.log(zh) - sp.gammaln(m)
-
-        def f(x):
-            return np.exp(lncoef + (a * m - 1.0) * np.log(x) - m * (x / zh) ** a)
-
-        return _eval_pointwise(y, f, lambda: _boundary_value(math.exp(lncoef), a * m - 1.0))
-
-    if isinstance(model, AlphaMuB):
-        a, m, xb, beta = model.alpha, model.mu, model.x_mean, model.beta_param
-        lncoef = math.log(a) + a * m * math.log(beta) - a * m * math.log(xb) - sp.gammaln(m)
-
-        def f(x):
-            return np.exp(lncoef + (a * m - 1.0) * np.log(x) - (beta * x / xb) ** a)
-
-        return _eval_pointwise(y, f, lambda: _boundary_value(math.exp(lncoef), a * m - 1.0))
-
     if isinstance(model, MixtureGamma):
         al, b, z = model.alphas, model.shapes, model.rates
 
@@ -255,45 +255,20 @@ def envelope_pdf(model: BranchModel, y):
             x = x[:, None]
             return np.sum(al * np.exp((b - 1.0) * np.log(x) - z * x), axis=1)
 
-        def at_zero():
-            val = 0.0
-            for ai, bi in zip(al, b):
-                val += _boundary_value(ai, bi - 1.0)
-            return val
+        return _eval_pointwise(y, f, al, b - 1.0)
 
-        return _eval_pointwise(y, f, at_zero)
-
-    raise TypeError(f"unknown branch model {type(model)!r}")
+    sc, a, m = _alpha_mu_scale(model), model.alpha, model.mu
+    lncoef = math.log(a) - a * m * math.log(sc) - sp.gammaln(m)
+    e = a * m - 1.0
+    return _eval_pointwise(
+        y, lambda x: np.exp(lncoef + e * np.log(x) - (x / sc) ** a),
+        math.exp(lncoef), e)
 
 
 def power_pdf(model: BranchModel, nu: float, y):
     """PDF of the scaled channel power |h|^2 = (nu |h_f|)^2 at y >= 0."""
     if nu <= 0:
         raise DomainError("power_pdf requires nu > 0")
-    if isinstance(model, AlphaMuA):
-        a, m = model.alpha, model.mu
-        zn = model.z_hat * nu
-        lncoef = (math.log(a) + m * math.log(m) - a * m * math.log(zn)
-                  - sp.gammaln(m) - math.log(2.0))
-        e = 0.5 * a * m - 1.0
-
-        def f(x):
-            return np.exp(lncoef + e * np.log(x) - m * x ** (0.5 * a) / zn**a)
-
-        return _eval_pointwise(y, f, lambda: _boundary_value(math.exp(lncoef), e))
-
-    if isinstance(model, AlphaMuB):
-        a, m, beta = model.alpha, model.mu, model.beta_param
-        xn = model.x_mean * nu
-        lncoef = (math.log(a) + a * m * math.log(beta) - a * m * math.log(xn)
-                  - sp.gammaln(m) - math.log(2.0))
-        e = 0.5 * a * m - 1.0
-
-        def f(x):
-            return np.exp(lncoef + e * np.log(x) - (beta * np.sqrt(x) / xn) ** a)
-
-        return _eval_pointwise(y, f, lambda: _boundary_value(math.exp(lncoef), e))
-
     if isinstance(model, MixtureGamma):
         al, b, z = model.alphas, model.shapes, model.rates
         lncoef = np.log(al) - b * math.log(nu) - math.log(2.0)
@@ -303,15 +278,15 @@ def power_pdf(model: BranchModel, nu: float, y):
             x = x[:, None]
             return np.sum(np.exp(lncoef + e * np.log(x) - (z / nu) * np.sqrt(x)), axis=1)
 
-        def at_zero():
-            val = 0.0
-            for lc, ei in zip(lncoef, e):
-                val += _boundary_value(math.exp(lc), ei)
-            return val
+        return _eval_pointwise(y, f, np.exp(lncoef), e)
 
-        return _eval_pointwise(y, f, at_zero)
-
-    raise TypeError(f"unknown branch model {type(model)!r}")
+    # |h| = nu |h_f| is alpha-mu with scale nu * s, and y = |h|^2.
+    sc, a, m = nu * _alpha_mu_scale(model), model.alpha, model.mu
+    lncoef = math.log(a) - a * m * math.log(sc) - sp.gammaln(m) - math.log(2.0)
+    e = 0.5 * a * m - 1.0
+    return _eval_pointwise(
+        y, lambda x: np.exp(lncoef + e * np.log(x) - (np.sqrt(x) / sc) ** a),
+        math.exp(lncoef), e)
 
 
 def envelope_moment(model: BranchModel, nu: float, k: float) -> float:
@@ -320,21 +295,12 @@ def envelope_moment(model: BranchModel, nu: float, k: float) -> float:
         raise DomainError("envelope_moment requires k >= 0")
     if k == 0:
         return 1.0
-    if isinstance(model, AlphaMuA):
-        a, m = model.alpha, model.mu
-        ln = (k * math.log(nu * model.z_hat)
-              + sp.gammaln(m + k / a) - (k / a) * math.log(m) - sp.gammaln(m))
-        return math.exp(ln)
-    if isinstance(model, AlphaMuB):
-        a, m = model.alpha, model.mu
-        ln = (k * math.log(nu * model.x_mean / model.beta_param)
-              + sp.gammaln(m + k / a) - sp.gammaln(m))
-        return math.exp(ln)
     if isinstance(model, MixtureGamma):
         w, b, z = model.weights, model.shapes, model.rates
         terms = w * np.exp(sp.gammaln(b + k) - sp.gammaln(b) - k * np.log(z))
         return float(nu**k * terms.sum())
-    raise TypeError(f"unknown branch model {type(model)!r}")
+    sc, a, m = _alpha_mu_scale(model), model.alpha, model.mu
+    return math.exp(k * math.log(nu * sc) + sp.gammaln(m + k / a) - sp.gammaln(m))
 
 
 # --- presets from published THz measurements ---------------------------------

@@ -68,6 +68,12 @@ from .sum_dist import (
 
 CSV_HEADER = "snr_db,upsilon,ber,se,method,kappa1,kappa2"
 
+# Scenario size limits, checked before anything is allocated: the form-A
+# series precision grows like L^alpha_bar (a build takes about 5 s at L = 8
+# and 75 s at L = 16).
+_MAX_BRANCHES = 8
+_MAX_GRID_POINTS = 10_000
+
 
 class ScenarioError(ValueError):
     """Malformed scenario document; message carries the offending path."""
@@ -94,12 +100,19 @@ def _reject_unknown(d: dict, path: str):
 
 def _number(d: dict, key: str, path: str, required: bool = False,
             default=None, kind=float):
+    """Pop a finite number (an integral one for ``kind=int``) at path.key."""
     value = _pop(d, key, path, required=required, default=default)
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
+        number = float(value)
+        if not math.isfinite(number) or (kind is int and not number.is_integer()):
+            raise ValueError(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        expected = "an integer" if kind is int else "a finite number"
         raise ScenarioError(
-            f"{path}.{key}: expected a number, got {value!r}") from exc
+            f"{path}.{key}: expected {expected}, got {value!r}") from exc
+    if kind is int:
+        return int(value) if isinstance(value, int) else int(number)
+    return number
 
 
 def _parse_branch(node, idx: int):
@@ -126,7 +139,7 @@ def _parse_branch(node, idx: int):
             model = alpha_mu_a_preset(
                 str(preset), z_hat=_number(node, "z_hat", path, default=1.0))
         _reject_unknown(node, path)
-        return [model] * copies
+        return model, copies
     if kind == "alpha_mu_a":
         model = AlphaMuA(alpha=_number(node, "alpha", path, required=True),
                          mu=_number(node, "mu", path, required=True),
@@ -146,7 +159,7 @@ def _parse_branch(node, idx: int):
     else:
         raise ScenarioError(f"{path}: unknown branch type {kind!r}")
     _reject_unknown(node, path)
-    return [model] * copies
+    return model, copies
 
 
 def _parse_link(node) -> LinkBudget:
@@ -159,7 +172,7 @@ def _parse_link(node) -> LinkBudget:
     for key in ("f", "d", "kabs", "rho", "pt", "gt", "gr",
                 "temperature", "bandwidth"):
         if key in node:
-            kwargs[key] = float(node.pop(key))
+            kwargs[key] = _number(node, key, "link")
     if "normalized" in node:
         kwargs["normalized"] = bool(node.pop("normalized"))
     _reject_unknown(node, "link")
@@ -170,13 +183,16 @@ def _parse_grid(node) -> tuple[float, ...]:
     if not isinstance(node, dict):
         raise ScenarioError("snr_db: expected {start, stop, step}")
     node = dict(node)
-    start = float(_pop(node, "start", "snr_db", required=True))
-    stop = float(_pop(node, "stop", "snr_db", required=True))
-    step = float(_pop(node, "step", "snr_db", required=True))
+    start, stop, step = (_number(node, key, "snr_db", required=True)
+                         for key in ("start", "stop", "step"))
     _reject_unknown(node, "snr_db")
     if step <= 0 or stop < start:
         raise ScenarioError("snr_db: needs step > 0 and stop >= start")
-    count = int(round((stop - start) / step)) + 1
+    span = (stop - start) / step
+    if not math.isfinite(span) or round(span) >= _MAX_GRID_POINTS:
+        raise ScenarioError(
+            f"snr_db: the grid exceeds {_MAX_GRID_POINTS} points")
+    count = int(round(span)) + 1
     db = [start + step * i for i in range(count)]
     return tuple(10.0 ** (v / 10.0) for v in db)
 
@@ -199,22 +215,26 @@ def load_scenario(path: str):
     modulation = _pop(doc, "modulation", "scenario", default="bpsk")
     if modulation != "bpsk":
         raise ScenarioError(f"modulation: only 'bpsk' is supported, got {modulation!r}")
-    g = float(_pop(doc, "g", "scenario", default=0.5))
+    g = _number(doc, "g", "scenario", default=0.5)
     link = _parse_link(_pop(doc, "link", "scenario"))
     branches_node = _pop(doc, "branches", "scenario", required=True)
     if not isinstance(branches_node, list) or not branches_node:
         raise ScenarioError("branches: expected a non-empty list")
     branches: list = []
     for i, b in enumerate(branches_node):
-        branches.extend(_parse_branch(b, i))
+        model, copies = _parse_branch(b, i)
+        if len(branches) + copies > _MAX_BRANCHES:
+            raise ScenarioError(f"branches[{i}].copies: more than "
+                                f"{_MAX_BRANCHES} branches in total")
+        branches += [model] * copies
     grid = _parse_grid(_pop(doc, "snr_db", "scenario", required=True))
     mc_node = _pop(doc, "mc", "scenario", default={})
     if not isinstance(mc_node, dict):
         raise ScenarioError("mc: expected an object")
     mc_node = dict(mc_node)
     mc = {
-        "trials": int(_pop(mc_node, "trials", "mc", default=1_000_000)),
-        "seed": int(_pop(mc_node, "seed", "mc", default=0)),
+        "trials": _number(mc_node, "trials", "mc", default=1_000_000, kind=int),
+        "seed": _number(mc_node, "seed", "mc", default=0, kind=int),
         "method": str(_pop(mc_node, "method", "mc", default="conditional_q")),
     }
     _reject_unknown(mc_node, "mc")
@@ -277,8 +297,8 @@ def _compute_curve(scenario: Scenario, method: str, mc: dict) -> BerCurve:
         # For MG branches the Craig-form MGF is the exact route.
         if fam == "mixture_gamma":
             bers = [ber_mg_mgf(scenario.branches, scenario.nu,
-                               scenario.l_branches, u, g=scenario.g,
-                               mode="exact") for u in grid]
+                               scenario.l_branches, u, g=scenario.g)
+                    for u in grid]
         else:
             pdf = _sum_density(scenario)
             bers = [ber_exact_quadrature(pdf, u, g=scenario.g) for u in grid]

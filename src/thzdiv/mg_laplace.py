@@ -16,7 +16,7 @@ import numpy as np
 from scipy import integrate
 from scipy import special as sp
 
-from .channel_models import MixtureGamma
+from .channel_models import MixtureGamma, _eval_pointwise
 from .errors import DomainError, EvaluationError
 
 __all__ = [
@@ -55,33 +55,18 @@ class SquaredMgSnr:
 
 def snr_pdf_mg(s: SquaredMgSnr, y):
     """Density sum_i a_i y^{b_i-1} exp(-c_i sqrt(y)) at y >= 0."""
-    arr = np.asarray(y, dtype=float)
-    if np.any(arr < 0.0):
-        raise DomainError("snr_pdf_mg requires y >= 0")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr).astype(float)
-    out = np.zeros_like(arr)
-    pos = arr > 0.0
-    if np.any(pos):
+
+    def f(x):
         # Log-domain: y^{b-1} alone overflows for large shapes even where
         # the exponential tail makes the product negligible.
-        yp = arr[pos][:, None]
+        x = x[:, None]
         # a_i may underflow to 0 for very large shapes; log(0) = -inf is the
         # right sentinel (the component contributes exactly nothing).
         with np.errstate(divide="ignore"):
-            ln = (np.log(s.a) + (s.b - 1.0) * np.log(yp) - s.c * np.sqrt(yp))
-        out[pos] = np.sum(np.exp(ln), axis=1)
-    if np.any(~pos):
-        val = 0.0
-        for ai, bi in zip(s.a, s.b):
-            if bi - 1.0 > 0.0:
-                continue
-            if bi == 1.0:
-                val += ai
-            else:
-                raise DomainError("snr density diverges at y = 0")
-        out[~pos] = val
-    return float(out[0]) if scalar else out
+            ln = (np.log(s.a) + (s.b - 1.0) * np.log(x) - s.c * np.sqrt(x))
+        return np.sum(np.exp(ln), axis=1)
+
+    return _eval_pointwise(y, f, s.a, s.b - 1.0)
 
 
 def laplace_exact_series(s: SquaredMgSnr, s_arg):

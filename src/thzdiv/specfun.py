@@ -23,6 +23,9 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 
+# Relative agreement of successive step halvings that ends fox_h.
+_FOX_H_RTOL = 1e-10
+
 
 def q_function(x):
     """Gaussian tail probability Q(x) = 0.5*erfc(x/sqrt(2)).
@@ -120,14 +123,14 @@ def _decay_rate(params: FoxHParams) -> float:
     return rho
 
 
-def fox_h(params: FoxHParams, z: float, rtol: float = 1e-10) -> float:
+def fox_h(params: FoxHParams, z: float) -> float:
     """Evaluate the Fox H-function at real z > 0.
 
     Vertical-line Mellin-Barnes quadrature: the abscissa is chosen inside
     the gap between the two gamma pole families (preferring the placement
     that minimizes the integrand's peak magnitude), the line is truncated
     where the integrand falls below 1e-16 of its peak, and the trapezoid
-    step is halved until successive estimates agree to ``rtol``.
+    step is halved until successive estimates agree to _FOX_H_RTOL.
     """
     if z <= 0.0:
         raise DomainError("fox_h requires z > 0")
@@ -165,12 +168,12 @@ def fox_h(params: FoxHParams, z: float, rtol: float = 1e-10) -> float:
         logf = _log_mellin_kernel(params, s) - s * lnz
         vals = np.exp(logf - peak_log)
         est = 2.0 * np.trapezoid(vals.real, t)
-        if prev is not None and abs(est - prev) <= rtol * max(abs(est), 1e-300):
+        if prev is not None and abs(est - prev) <= _FOX_H_RTOL * max(abs(est), 1e-300):
             return est * math.exp(peak_log) / (2.0 * math.pi)
         prev = est
         n *= 2
     achieved = abs(est - prev) / max(abs(est), 1e-300)
     raise AccuracyError(
-        f"fox_h quadrature did not reach rtol={rtol:g} (achieved {achieved:g})",
+        f"fox_h quadrature did not reach rtol={_FOX_H_RTOL:g} (achieved {achieved:g})",
         achieved=achieved,
     )

@@ -24,7 +24,7 @@ from scipy import linalg as sla
 from scipy import optimize
 from scipy import special as sp
 
-from .channel_models import AlphaMuA, AlphaMuB, envelope_moment
+from .channel_models import AlphaMuA, AlphaMuB, _eval_pointwise, envelope_moment
 from .errors import AccuracyError, DomainError, EvaluationError
 
 __all__ = [
@@ -44,6 +44,9 @@ __all__ = [
 # Points whose decay exponent exceeds this bound evaluate to density ~1e-13
 # or below and are returned as 0 (see _tail_exponent / _series_mp).
 _TAIL_CUTOFF = 30.0
+
+# Accuracy iid_sum_power_pdf promises (see there).
+_RTOL, _ATOL = 1e-9, 1e-14
 
 
 def _series_dps(alpha_bar: float, l_branches: int) -> int:
@@ -195,57 +198,43 @@ def _series_mp(s: IidAlphaMuSum, y: float) -> float:
         count *= 2
 
 
-def iid_sum_power_pdf(s: IidAlphaMuSum, y, rtol: float = 1e-9,
-                      atol: float = 1e-14):
+def iid_sum_power_pdf(s: IidAlphaMuSum, y):
     """PDF of the i.i.d. alpha-mu power sum at y >= 0 (series evaluation).
 
-    Float64 evaluation with a per-point cancellation estimate; points whose
-    estimated error exceeds rtol*|f| + atol are recomputed in mpmath.
+    Float64 evaluation with a per-point rounding-error estimate; points whose
+    estimated error exceeds _RTOL*|f| + _ATOL are recomputed in mpmath.
     """
-    arr = np.asarray(y, dtype=float)
-    if np.any(arr < 0.0):
-        raise DomainError("iid_sum_power_pdf requires y >= 0")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr).astype(float)
-    out = np.zeros_like(arr)
-    pos = arr > 0.0
-    # y = 0: exponent phi0 - 1 is positive for every parameter set of
-    # interest; the boundary rules mirror the single-branch densities.
-    if np.any(~pos):
-        if s.phi0 > 1.0:
-            out[~pos] = 0.0
-        elif s.phi0 == 1.0:
-            out[~pos] = math.exp(s.ln_prefactor) * s.coeffs[0]
-        else:
-            raise DomainError("sum density diverges at y = 0")
-    if np.any(pos):
-        out[pos] = _series_float_block(s, arr[pos], rtol, atol)
-    return float(out[0]) if scalar else out
+    return _eval_pointwise(y, lambda x: _series_float_block(s, x),
+                           math.exp(s.ln_prefactor) * s.coeffs[0], s.phi0 - 1.0)
 
 
-def _series_float_block(s: IidAlphaMuSum, y: np.ndarray, rtol: float,
-                        atol: float) -> np.ndarray:
+def _series_float_block(s: IidAlphaMuSum, y: np.ndarray) -> np.ndarray:
     ab, phi0 = s.alpha_bar, s.phi0
     lny = np.log(y)
     acc = np.zeros_like(y)
-    maxterm = np.zeros_like(y)
+    # exp(k ln y) carries a relative rounding error of about eps*(1 + |k ln y|),
+    # so eps * errsum estimates the rounding error of the sum.
+    errsum = np.zeros_like(y)
     done = np.zeros_like(y, dtype=bool)
     small_streak = np.zeros_like(y, dtype=int)
     # Overflow at large y only marks the point for the high-precision path.
     with np.errstate(over="ignore", invalid="ignore"):
         for i, e in enumerate(s.coeffs):
-            term = e * np.exp((i * ab + phi0 - 1.0) * lny)
+            ln_power = (i * ab + phi0 - 1.0) * lny
+            term = e * np.exp(ln_power)
+            mag = np.abs(term)
             acc = np.where(done, acc, acc + term)
-            maxterm = np.where(done, maxterm, np.maximum(maxterm, np.abs(term)))
-            small = np.abs(term) <= 1e-16 * np.maximum(np.abs(acc), 1e-300)
+            errsum = np.where(done, errsum,
+                              errsum + mag * (1.0 + np.abs(ln_power)))
+            small = mag <= 1e-16 * np.maximum(np.abs(acc), 1e-300)
             small_streak = np.where(small, small_streak + 1, 0)
             done = done | (small_streak >= 3)
             if done.all():
                 break
     pref = math.exp(s.ln_prefactor)
     vals = pref * acc
-    err = pref * maxterm * 5e-16
-    need_mp = (~done) | (err > rtol * np.abs(vals) + atol) | ~np.isfinite(vals)
+    err = pref * errsum * 2.2e-16
+    need_mp = (~done) | (err > _RTOL * np.abs(vals) + _ATOL) | ~np.isfinite(vals)
     if np.any(need_mp):
         for idx in np.nonzero(need_mp)[0]:
             vals[idx] = _series_mp(s, float(y[idx]))
@@ -440,31 +429,18 @@ def solve_mixture_nodes(branches, nu: float, psi: int = 4) -> MixtureNodes:
 
 def inid_sum_power_pdf(nodes: MixtureNodes, y):
     """Mixture-approximation PDF of the i.n.i.d. alpha-mu power sum."""
-    arr = np.asarray(y, dtype=float)
-    if np.any(arr < 0.0):
-        raise DomainError("inid_sum_power_pdf requires y >= 0")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr).astype(float)
-    out = np.zeros_like(arr)
     am = nodes.alpha_bar * nodes.mu_bar
-    lam = nodes.lambdas
-    om = nodes.omegas
-    pos = arr > 0.0
-    if np.any(pos):
-        yp = arr[pos][:, None]
-        out[pos] = np.sum(
-            lam * yp ** (am - 1.0)
-            * np.exp(-(nodes.beta_bar * yp / (om * nodes.z_bar))
+    lam, om = nodes.lambdas, nodes.omegas
+
+    def f(x):
+        x = x[:, None]
+        return np.sum(
+            lam * x ** (am - 1.0)
+            * np.exp(-(nodes.beta_bar * x / (om * nodes.z_bar))
                      ** nodes.alpha_bar),
             axis=1)
-    if np.any(~pos):
-        if am > 1.0:
-            out[~pos] = 0.0
-        elif am == 1.0:
-            out[~pos] = float(lam.sum())
-        else:
-            raise DomainError("mixture density diverges at y = 0")
-    return float(out[0]) if scalar else out
+
+    return _eval_pointwise(y, f, lam, am - 1.0)
 
 
 # --- numerical convolution oracle --------------------------------------------

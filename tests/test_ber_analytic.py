@@ -175,15 +175,6 @@ class TestMgMgf:
         assert 0.0 < val < 0.5
         assert val == pytest.approx(0.0315760441411177, rel=1e-6)
 
-    def test_high_snr_mode_approaches_exact(self):
-        gaps = []
-        for u in (0.1, 10.0):
-            exact = ber_mg_mgf([self.CFG1] * 2, 1.0, 2, u, g=1.0)
-            hi = ber_mg_mgf([self.CFG1] * 2, 1.0, 2, u, g=1.0,
-                            mode="high_snr")
-            gaps.append(abs(hi / exact - 1.0))
-        assert gaps[1] < gaps[0]
-
     def test_g_and_upsilon_enter_as_product(self):
         a = ber_mg_mgf([self.CFG1] * 2, 1.0, 2, 0.02, g=1.0)
         b = ber_mg_mgf([self.CFG1] * 2, 1.0, 2, 0.04, g=0.5)

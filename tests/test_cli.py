@@ -213,6 +213,37 @@ class TestOtherSubcommands:
         assert field in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("update,field", [
+        ({"g": "x"}, "scenario.g"),
+        ({"snr_db": {"start": "a", "stop": 10, "step": 5}}, "snr_db.start"),
+        ({"link": {"d": "far"}}, "link.d"),
+        ({"mc": {"trials": "many"}}, "mc.trials"),
+        ({"mc": {"trials": None}}, "mc.trials"),
+        ({"mc": {"seed": 1.5}}, "mc.seed"),
+        ({"snr_db": {"start": 0, "stop": 1e300, "step": 1e-300}}, "snr_db"),
+        ({"snr_db": {"start": 0, "stop": 10000, "step": 1}}, "snr_db"),
+        ({"branches": [{"preset": "indoor_1", "copies": 2.7}]},
+         "branches[0].copies"),
+        ({"branches": [{"preset": "indoor_1", "copies": 1e9}]},
+         "branches[0].copies"),
+        ({"branches": [{"preset": "indoor_1", "copies": 5},
+                       {"preset": "indoor_1", "copies": 4}]},
+         "branches[1].copies"),
+    ], ids=["g_not_a_number", "grid_not_a_number", "link_not_a_number",
+            "trials_not_a_number", "trials_null", "seed_not_integral",
+            "grid_overflow", "grid_too_long", "copies_not_integral",
+            "copies_too_many", "branches_too_many"])
+    def test_malformed_scenario_field_is_a_scenario_error(
+            self, tmp_path, capsys, update, field):
+        scn = write_scn(tmp_path, dict(SCN_A, **update))
+        rc = main(["ber", "--scenario", scn, "--method", "asymptotic",
+                   "--out", str(tmp_path / "o.csv")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("scenario error: ")
+        assert field + ":" in err
+        assert "Traceback" not in err
+
     def test_mg_at_minus_100_db_is_a_clean_error(self, tmp_path, capsys):
         # The theta integrand has a layer about sqrt(Upsilon) wide that the
         # fixed rules cannot resolve; the route must refuse, not crash.

@@ -17,6 +17,7 @@ from thzdiv.channel_models import (
 from thzdiv.errors import DomainError
 from thzdiv.sum_dist import (
     IidAlphaMuSum,
+    _series_mp,
     convolution_oracle,
     iid_sum_power_pdf,
     inid_sum_power_pdf,
@@ -87,6 +88,18 @@ class TestIidSeries:
         am = 1.726 * 0.51571
         assert s.coeffs[0] == pytest.approx(
             math.gamma(am) ** 2 / math.gamma(2 * am), rel=1e-12)
+
+    @pytest.mark.parametrize("preset", ["indoor_1", "indoor_2"])
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    def test_float_values_keep_the_promised_tolerance(self, preset, L):
+        # Near y ~ 4-7 the alternating series cancels; a float value the
+        # error estimate accepts must still be within rtol = 1e-9 (plus the
+        # 1e-14 floor) of the high-precision evaluation.
+        s = IidAlphaMuSum.build(alpha_mu_a_preset(preset), 1.0, L)
+        ys = np.linspace(0.05, 12.0, 30) * L / 2
+        vals = iid_sum_power_pdf(s, ys)
+        ref = np.array([_series_mp(s, float(y)) for y in ys])
+        assert np.all(np.abs(vals - ref) <= 1e-9 * np.abs(ref) + 1e-14)
 
     def test_rejects_bad_build(self):
         with pytest.raises(DomainError):
