@@ -12,7 +12,6 @@ value, with kappa2 the diversity exponent of BER ~ kappa1 * Upsilon^-kappa2.
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -48,6 +47,12 @@ _SQRT_PI = math.sqrt(math.pi)
 
 # Most component index tuples ber_mg_asymptote enumerates in full.
 _TERM_CAP = 10**6
+
+# The tanh-sinh theta rule of ber_mg_mgf.
+_T_HALF = 3.0     # t in [-3, 3]: theta within 3.3e-14 of 0 and of pi/2
+_T_STEP = 0.5     # first step: 12 intervals, 13 nodes
+_T_RTOL = 1e-9    # relative agreement of two successive levels
+_T_LEVELS = 8     # most step halvings
 
 
 class AsymptoteSource(enum.Enum):
@@ -96,16 +101,13 @@ def ber_exact_quadrature(sum_pdf, upsilon: float, g: float = 0.5) -> float:
 
 
 def ber_alpha_mu_iid_asymptote(model: AlphaMuA, nu: float, l_branches: int,
-                               upsilon, g: float = 0.5,
-                               outage_proxy: bool = False):
+                               upsilon, g: float = 0.5):
     """High-SNR BER for L i.i.d. alpha-mu (form A) branches.
 
     kappa2 = phi0 = (alpha/2) mu L.  The leading constant follows from the
     small-argument sum density C y^{phi0-1}/Gamma(phi0) integrated against
     the error law, which for g = 1/2 gives the 2^{phi0-1} factor (checked
-    against the Rayleigh closed form and the quadrature oracle).  With
-    ``outage_proxy`` the cruder Pr(||h||^2 <= 1/(2 g Upsilon)) bound is
-    returned instead; it shares the same exponent.
+    against the Rayleigh closed form and the quadrature oracle).
     """
     if l_branches < 1:
         raise DomainError("l_branches must be >= 1")
@@ -114,12 +116,8 @@ def ber_alpha_mu_iid_asymptote(model: AlphaMuA, nu: float, l_branches: int,
     phi0 = ab * m * l_branches
     ln_c = l_branches * (math.log(ab) + m * math.log(m) + sp.gammaln(ab * m)
                          - sp.gammaln(m) - ab * m * math.log(z_bar))
-    if outage_proxy:
-        ln_k1 = ln_c - sp.gammaln(phi0 + 1.0) - phi0 * math.log(2.0 * g)
-    else:
-        ln_k1 = (ln_c + sp.gammaln(phi0 + 0.5) - sp.gammaln(phi0 + 1.0)
-                 - 0.5 * math.log(math.pi) - math.log(2.0)
-                 - phi0 * math.log(g))
+    ln_k1 = (ln_c + sp.gammaln(phi0 + 0.5) - sp.gammaln(phi0 + 1.0)
+             - 0.5 * math.log(math.pi) - math.log(2.0) - phi0 * math.log(g))
     law = AsymptoteLaw(kappa1=math.exp(ln_k1), kappa2=phi0,
                        source=AsymptoteSource.ALPHA_MU_IID)
     return law(upsilon), law
@@ -170,28 +168,17 @@ def ber_alpha_mu_gen_asymptote(nodes: MixtureNodes, upsilon):
     return law(upsilon), law
 
 
-@functools.lru_cache(maxsize=None)
-def _theta_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule of ``n`` nodes on [0, pi/2]; cached, read-only."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    half = math.pi / 4.0
-    theta, weights = half * (x + 1.0), half * w
-    theta.flags.writeable = False
-    weights.flags.writeable = False
-    return theta, weights
-
-
 def ber_mg_mgf(branches, nu: float, l_branches: int, upsilon: float,
                g: float = 1.0) -> float:
     """Craig-form MGF BER for MG branches: (1/pi) int prod_l L_l(g/sin^2).
 
-    Each distinct branch's Laplace transform is evaluated at all nodes of a
-    theta rule in one call to the Tricomi-U closed form
-    ``laplace_exact_series``, valid at every SNR.  The 64-node estimate is
-    checked against 96 nodes, and against 192 when they disagree.  At very
-    low SNR (-85 dB and below for the shipped presets) the integrand has a
-    layer about sqrt(Upsilon) wide near theta = 0 that no rule resolves,
-    and the check raises EvaluationError.
+    The theta integral is a nested tanh-sinh rule (Takahasi & Mori 1974):
+    theta = (pi/2) expit(pi sinh t), trapezoid in t, the step halved until
+    two levels agree.  A level evaluates only its new nodes, one closed-form
+    ``laplace_exact_series`` call per distinct branch.  The nodes cluster
+    doubly exponentially at theta = 0, which resolves the layer about
+    sqrt(Upsilon) wide there at low SNR.  Raises EvaluationError if the
+    levels run out.
     """
     if upsilon <= 0 or g <= 0:
         raise DomainError("ber_mg_mgf requires upsilon > 0 and g > 0")
@@ -203,26 +190,32 @@ def ber_mg_mgf(branches, nu: float, l_branches: int, upsilon: float,
 
     snrs = [SquaredMgSnr.from_model(b, upsilon, nu) for b in branches]
 
-    def estimate(n_nodes: int) -> float:
-        theta, w = _theta_nodes(n_nodes)
-        s_vals = g / np.sin(theta) ** 2
-        prod = np.ones_like(s_vals)
+    def integrand(t: np.ndarray) -> np.ndarray:
+        # expit, not 1 + tanh, which cancels to 0 near t = -3.
+        x = math.pi * np.sinh(t)
+        p, q = sp.expit(x), sp.expit(-x)
+        prod = 0.5 * math.pi**2 * p * q * np.cosh(t)  # d theta / dt
+        s_vals = g / np.sin(0.5 * math.pi * p) ** 2
         cache: dict[int, np.ndarray] = {}
         for snr in snrs:
             key = id(snr.source)
             if key not in cache:
                 cache[key] = laplace_exact_series(snr, s_vals)
             prod = prod * cache[key]
-        return float(np.sum(w * prod) / math.pi)
+        return prod
 
-    est = estimate(64)
-    check = estimate(96)
-    if abs(check - est) > 1e-8 * max(abs(check), 1e-300):
-        est2 = estimate(192)
-        if abs(est2 - check) > 1e-7 * max(abs(est2), 1e-300):
-            raise EvaluationError("theta quadrature did not stabilize")
-        return est2
-    return check
+    h, n = _T_STEP, round(2.0 * _T_HALF / _T_STEP)
+    f = integrand(np.linspace(-_T_HALF, _T_HALF, n + 1))
+    total = float(np.sum(f) - 0.5 * (f[0] + f[-1]))
+    est = h * total
+    for _ in range(_T_LEVELS):
+        # The midpoints of the current intervals are the next level's new nodes.
+        total += float(np.sum(integrand(-_T_HALF + h * (np.arange(n) + 0.5))))
+        h, n = 0.5 * h, 2 * n
+        prev, est = est, h * total
+        if abs(est - prev) <= _T_RTOL * abs(est):
+            return est / math.pi
+    raise EvaluationError("tanh-sinh theta rule did not converge")
 
 
 def ber_mg_asymptote(branches, nu: float, upsilon, g: float = 1.0,

@@ -379,6 +379,12 @@ def solve_mixture_nodes(branches, nu: float, psi: int = 4) -> MixtureNodes:
                                 beta_bar, z_bar)
     target = _leading_coefficient_target(branches, nu, ab, mu_bar, beta_bar,
                                          z_bar)
+    if len(branches) == 1:
+        # A one-point measure (M_n = M_1^n): every Hankel matrix is singular.
+        return MixtureNodes(psi=1, nodes=((1.0, float(M[1])),), alpha_bar=ab,
+                            mu_bar=mu_bar, beta_bar=beta_bar, z_bar=z_bar,
+                            residual=abs(M[1] ** (-ab * mu_bar) - target)
+                            / max(1.0, target))
 
     # Initial quadrature; shrink on (near-)degenerate Hankel matrices.
     k = psi

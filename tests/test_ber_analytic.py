@@ -1,11 +1,15 @@
 """Exact and asymptotic BER routes, cross-checked against each other."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
+from thzdiv import ber_analytic
 from thzdiv.ber_analytic import (
     AsymptoteLaw,
     AsymptoteSource,
@@ -23,7 +27,8 @@ from thzdiv.channel_models import (
     mg_preset,
     power_pdf,
 )
-from thzdiv.errors import DomainError
+from thzdiv.errors import DomainError, EvaluationError
+from thzdiv.mg_laplace import SquaredMgSnr, laplace_exact_series
 from thzdiv.specfun import q_function
 from thzdiv.sum_dist import (
     IidAlphaMuSum,
@@ -40,6 +45,26 @@ def rayleigh_ber(upsilon, g=0.5):
     """Closed form for one Rayleigh branch with unit mean power."""
     x = g * upsilon
     return 0.5 * (1.0 - math.sqrt(x / (1.0 + x)))
+
+
+def mg_theta_quad(branches, upsilon, g=1.0):
+    """Craig-form MG BER by adaptive quadrature over theta.
+
+    At low SNR the integrand has a layer about sqrt(Upsilon) wide near
+    theta = 0; breakpoints from 1e-3 to 100 sqrt(Upsilon) let QUADPACK
+    find it.
+    """
+    snrs = [SquaredMgSnr.from_model(b, upsilon, 1.0) for b in branches]
+
+    def integrand(theta):
+        s = g / math.sin(theta) ** 2
+        return math.prod(laplace_exact_series(snr, s) for snr in snrs)
+
+    brk = [p for p in np.geomspace(1e-3, 100.0, 11) * math.sqrt(upsilon)
+           if p < math.pi / 2]
+    val, _ = integrate.quad(integrand, 0.0, math.pi / 2, points=brk,
+                            epsabs=0.0, epsrel=1e-12, limit=500)
+    return val / math.pi
 
 
 class TestExactQuadrature:
@@ -106,13 +131,6 @@ class TestAlphaMuIidAsymptote:
         assert abs(ratios[1] - 1.0) < abs(ratios[0] - 1.0)
         assert ratios[1] == pytest.approx(1.0, abs=5e-4)
 
-    def test_outage_proxy_same_exponent(self):
-        model = alpha_mu_a_preset("indoor_2")
-        _, law = ber_alpha_mu_iid_asymptote(model, 1.0, 2, 10.0,
-                                            outage_proxy=True)
-        assert law.kappa2 == pytest.approx(
-            model.alpha / 2.0 * model.mu * 2, abs=1e-12)
-
 
 @pytest.fixture(scope="module")
 def nodes():
@@ -128,6 +146,17 @@ class TestFormBFoxH:
         p_q = ber_exact_quadrature(lambda y: inid_sum_power_pdf(nodes, y),
                                    upsilon, g=0.5)
         assert p_h == pytest.approx(p_q, rel=1e-8)
+
+    @pytest.mark.parametrize("preset", ["indoor_1", "indoor_2"])
+    @pytest.mark.parametrize("upsilon", [1.0, 40.0, 2000.0])
+    def test_single_branch_equals_quadrature(self, preset, upsilon):
+        # One branch is its own one-node mixture, so Fox-H is exact.
+        model = alpha_mu_b_preset(preset)
+        nodes = solve_mixture_nodes([model], 1.0)
+        p_q = ber_exact_quadrature(lambda y: power_pdf(model, 1.0, y),
+                                   upsilon, g=0.5)
+        assert ber_alpha_mu_gen_foxh(nodes, upsilon) == pytest.approx(
+            p_q, rel=1e-10, abs=0.0)
 
     def test_frozen_value(self, nodes):
         # kappa1 and the mixture nodes are solver outputs; freeze them only
@@ -145,6 +174,43 @@ class TestFormBFoxH:
         exact = ber_alpha_mu_gen_foxh(nodes, 3e4)
         asym = float(np.atleast_1d(ber_alpha_mu_gen_asymptote(nodes, 3e4)[0])[0])
         assert asym / exact == pytest.approx(1.0, abs=2e-3)
+
+
+@functools.cache
+def iid_form_b_and_a(preset, l_branches):
+    """(form-B mixture nodes, equivalent form-A series), built once each.
+
+    An i.i.d. form-B sum is exactly the form-A sum with
+    z_hat = mu^(1/alpha) x_mean / beta.
+    """
+    b = alpha_mu_b_preset(preset)
+    a = AlphaMuA(alpha=b.alpha, mu=b.mu,
+                 z_hat=b.mu ** (1.0 / b.alpha) * b.x_mean / b.beta_param)
+    return (solve_mixture_nodes([b] * l_branches, 1.0),
+            IidAlphaMuSum.build(a, 1.0, l_branches))
+
+
+class TestMixtureAgainstSeries:
+    @pytest.mark.parametrize("preset", ["indoor_1", "indoor_2"])
+    @pytest.mark.parametrize("l_branches", [2, 3])
+    @pytest.mark.parametrize("snr_db", [0.0, 10.0, 20.0])
+    def test_iid_foxh_equals_exact_series(self, preset, l_branches, snr_db):
+        # Judges the mixture solve by BER, not by node positions: the
+        # nodes of a near-degenerate i.i.d. moment system may drift.
+        nodes, series = iid_form_b_and_a(preset, l_branches)
+        u = 10.0 ** (snr_db / 10.0)
+        p_series = ber_exact_quadrature(
+            lambda y: iid_sum_power_pdf(series, y), u, g=0.5)
+        assert ber_alpha_mu_gen_foxh(nodes, u) == pytest.approx(
+            p_series, rel=1e-6, abs=0.0)
+
+
+MG_SETS = {
+    "config1x2": ["mg_config1"] * 2,
+    "config1+2": ["mg_config1", "mg_config2"],
+    "config3x3": ["mg_config3"] * 3,
+    "config2+4": ["mg_config2", "mg_config4"],
+}
 
 
 class TestMgMgf:
@@ -179,6 +245,31 @@ class TestMgMgf:
         a = ber_mg_mgf([self.CFG1] * 2, 1.0, 2, 0.02, g=1.0)
         b = ber_mg_mgf([self.CFG1] * 2, 1.0, 2, 0.04, g=0.5)
         assert a == pytest.approx(b, rel=1e-8)
+
+    @pytest.mark.parametrize("name", sorted(MG_SETS))
+    @pytest.mark.parametrize("snr_db", [-100.0, -90.0, -60.0, 20.0, 60.0])
+    def test_matches_adaptive_theta_quadrature(self, name, snr_db):
+        branches = [mg_preset(p) for p in MG_SETS[name]]
+        u = 10.0 ** (snr_db / 10.0)
+        assert ber_mg_mgf(branches, 1.0, len(branches), u) == pytest.approx(
+            mg_theta_quad(branches, u), rel=1e-9, abs=0.0)
+
+    def test_levels_run_out_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(ber_analytic, "_T_LEVELS", 1)
+        with pytest.raises(EvaluationError):
+            ber_mg_mgf([self.CFG1] * 2, 1.0, 2, 1e-6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(preset=st.sampled_from(["mg_config1", "mg_config2", "mg_config3",
+                                   "mg_config4"]),
+           copies=st.integers(1, 3),
+           db_lo=st.floats(-100.0, 59.9),
+           gap=st.floats(0.1, 160.0))
+    def test_bounded_and_non_increasing(self, preset, copies, db_lo, gap):
+        branches = [mg_preset(preset)] * copies
+        lo, hi = (ber_mg_mgf(branches, 1.0, copies, 10.0 ** (db / 10.0))
+                  for db in (db_lo, min(db_lo + gap, 60.0)))
+        assert 0.0 <= hi <= lo <= 0.5
 
 
 class TestMgAsymptote:

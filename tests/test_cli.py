@@ -244,17 +244,26 @@ class TestOtherSubcommands:
         assert field + ":" in err
         assert "Traceback" not in err
 
-    def test_mg_at_minus_100_db_is_a_clean_error(self, tmp_path, capsys):
-        # The theta integrand has a layer about sqrt(Upsilon) wide that the
-        # fixed rules cannot resolve; the route must refuse, not crash.
+    def test_mg_at_minus_100_db(self, tmp_path):
+        # The theta integrand has a layer about sqrt(Upsilon) wide near
+        # theta = 0; the value is adaptive theta quadrature's to 11 digits.
         doc = dict(SCN_MG, branches=[{"preset": "mg_config1", "copies": 2}],
                    snr_db={"start": -100, "stop": -100, "step": 1})
-        rc = main(["ber", "--scenario", write_scn(tmp_path, doc),
-                   "--method", "mgf", "--out", str(tmp_path / "o.csv")])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err.startswith("error: ")
-        assert "Traceback" not in err
+        out = tmp_path / "o.csv"
+        assert main(["ber", "--scenario", write_scn(tmp_path, doc),
+                     "--method", "mgf", "--out", str(out)]) == 0
+        (point,) = read_curve_csv(str(out)).points
+        assert point.ber == pytest.approx(0.49862220953, rel=1e-9)
+
+    @pytest.mark.parametrize("method", ["exact", "foxh", "asymptotic"])
+    def test_single_form_b_branch(self, tmp_path, method):
+        # One branch is its own one-node mixture, on every form-B route.
+        doc = dict(SCN_A, branches=[{"type": "alpha_mu_b",
+                                     "preset": "indoor_1"}])
+        out = tmp_path / "o.csv"
+        assert main(["ber", "--scenario", write_scn(tmp_path, doc),
+                     "--method", method, "--out", str(out)]) == 0
+        assert len(read_curve_csv(str(out)).points) == 3
 
     def test_verify_passes(self, capsys):
         assert main(["verify"]) == 0
