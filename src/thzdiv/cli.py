@@ -260,8 +260,8 @@ def _family(scenario: Scenario) -> str:
     raise ScenarioError("branches: mixing fading families is not supported")
 
 
-def _sum_density(scenario: Scenario):
-    """Callable density of ||h||^2 for the scenario's branch set."""
+def _sum_density(scenario: Scenario, meta: dict):
+    """Density of ||h||^2; a form-B fit puts its psi and residual in meta."""
     fam = _family(scenario)
     nu = scenario.nu
     if fam == "alpha_mu_a":
@@ -272,6 +272,7 @@ def _sum_density(scenario: Scenario):
         return lambda y: iid_sum_power_pdf(s, y)
     if fam == "alpha_mu_b":
         nodes = solve_mixture_nodes(scenario.branches, nu)
+        meta.update(mixture_psi=nodes.psi, mixture_residual=nodes.residual)
         return lambda y: inid_sum_power_pdf(nodes, y)
     pdfs = [lambda y, m=m: power_pdf(m, nu, y) for m in scenario.branches]
     if len(pdfs) == 1:
@@ -300,7 +301,7 @@ def _compute_curve(scenario: Scenario, method: str, mc: dict) -> BerCurve:
                                scenario.l_branches, u, g=scenario.g)
                     for u in grid]
         else:
-            pdf = _sum_density(scenario)
+            pdf = _sum_density(scenario, meta)
             bers = [ber_exact_quadrature(pdf, u, g=scenario.g) for u in grid]
         points = [BerPoint(float(u), float(p), 0.0, 1)
                   for u, p in zip(grid, bers)]
@@ -310,6 +311,7 @@ def _compute_curve(scenario: Scenario, method: str, mc: dict) -> BerCurve:
         if fam != "alpha_mu_b":
             raise ScenarioError("method 'foxh' applies to alpha_mu_b branches")
         nodes = solve_mixture_nodes(scenario.branches, scenario.nu)
+        meta.update(mixture_psi=nodes.psi, mixture_residual=nodes.residual)
         points = [BerPoint(float(u),
                            float(min(ber_alpha_mu_gen_foxh(nodes, u), 0.5)),
                            0.0, 1) for u in grid]
@@ -324,12 +326,13 @@ def _compute_curve(scenario: Scenario, method: str, mc: dict) -> BerCurve:
                 model, scenario.nu, scenario.l_branches, grid, g=scenario.g)
         elif fam == "alpha_mu_b":
             nodes = solve_mixture_nodes(scenario.branches, scenario.nu)
+            meta.update(mixture_psi=nodes.psi, mixture_residual=nodes.residual)
             vals, law = ber_alpha_mu_gen_asymptote(nodes, grid)
         else:
             vals, law = ber_mg_asymptote(scenario.branches, scenario.nu, grid,
                                          g=scenario.g, dominant_only=True)
-        meta = {"kappa1": law.kappa1, "kappa2": law.kappa2,
-                "source": law.source.value}
+        meta.update(kappa1=law.kappa1, kappa2=law.kappa2,
+                    source=law.source.value)
         points = [BerPoint(float(u), float(min(v, 1.0)), 0.0, 1)
                   for u, v in zip(grid, np.atleast_1d(vals))]
         return BerCurve(tuple(points), seed=0, method="asymptotic", metadata=meta)
@@ -380,7 +383,7 @@ def _cmd_pdf(args) -> int:
         else:
             pdf = lambda y: power_pdf(model, scenario.nu, y)
     else:
-        pdf = _sum_density(scenario)
+        pdf = _sum_density(scenario, {})
     y = np.linspace(args.ymin, args.ymax, args.points)
     vals = np.array([float(pdf(v)) for v in y])
     lines = ["y,pdf"] + [f"{_fmt(a)},{_fmt(b)}" for a, b in zip(y, vals)]

@@ -7,8 +7,8 @@ Three representations are provided:
   alternating series cancels catastrophically in float64;
 * a Psi-node mixture approximation for the i.n.i.d. alpha-mu (form B) sum,
   built by the classical Gaussian-quadrature-from-moments construction and
-  refined by a log-space Levenberg-Marquardt solve that enforces the exact
-  small-argument leading coefficient;
+  refined by a log-space Levenberg-Marquardt solve with an analytic Jacobian
+  that enforces the exact small-argument leading coefficient;
 * a numerical-convolution oracle used to validate both.
 """
 
@@ -350,13 +350,26 @@ def _leading_coefficient_target(branches, nu: float, alpha_bar: float,
     return math.exp(ln_target)
 
 
+def _mixture_residual(u, e, rhs):
+    """Sum_m c_m omega_m^e_n - rhs_n at u = [ln c, ln omega]."""
+    k = u.size // 2
+    return np.exp(u[:k] + np.outer(e, u[k:])).sum(axis=1) - rhs
+
+
+def _mixture_jacobian(u, e, rhs):
+    """[T, e T] with T[n, m] = c_m omega_m^e_n: the residual's d/du."""
+    k = u.size // 2
+    T = np.exp(u[:k] + np.outer(e, u[k:]))
+    return np.hstack([T, e[:, None] * T])
+
+
 def solve_mixture_nodes(branches, nu: float, psi: int = 4) -> MixtureNodes:
     """Fit the Psi-node mixture to the i.n.i.d. alpha-mu (form B) sum.
 
     Initial nodes come from the Hankel/orthogonal-polynomial construction on
-    the normalized sum moments; a Levenberg-Marquardt solve in the logs of
-    weights and nodes (which keeps both positive) then trades the highest
-    moment equation for the exact leading-coefficient constraint.
+    the normalized sum moments; a Levenberg-Marquardt solve with an analytic
+    Jacobian, in the logs of weights and nodes (which keeps both positive),
+    then trades the highest moment equation for the exact leading coefficient.
     """
     if psi < 2:
         raise DomainError("psi must be >= 2")
@@ -403,23 +416,15 @@ def solve_mixture_nodes(branches, nu: float, psi: int = 4) -> MixtureNodes:
     if weights is None or k < 1:
         raise EvaluationError("moment system is degenerate; try a smaller psi")
 
-    am = ab * mu_bar
-
-    def residuals(c, w):
-        r = [np.sum(c * w**n) - M[n] for n in range(2 * k - 1)]
-        r.append(np.sum(c * w**(-am)) - target)
-        return np.array(r)
-
-    def residuals_log(u):
-        return residuals(np.exp(u[:k]), np.exp(u[k:]))
-
+    e = np.append(np.arange(2.0 * k - 1.0), -ab * mu_bar)
+    rhs = np.append(M[: 2 * k - 1], target)
     u0 = np.concatenate([np.log(weights), np.log(nodes)])
-    lm = optimize.least_squares(residuals_log, u0, method="lm", xtol=1e-14,
+    lm = optimize.least_squares(_mixture_residual, u0, jac=_mixture_jacobian,
+                                args=(e, rhs), method="lm", xtol=1e-14,
                                 ftol=1e-14, gtol=1e-14, max_nfev=16000)
     c, w = np.exp(lm.x[:k]), np.exp(lm.x[k:])
-    r = residuals(c, w)
-    scale = max(1.0, abs(target))
-    res = float(np.max(np.abs(r)) / scale)
+    r = _mixture_residual(lm.x, e, rhs)
+    res = float(np.max(np.abs(r)) / max(1.0, abs(target)))
     if res > 1e-7:
         raise EvaluationError(
             f"mixture moment system residual {res:.2e} > 1e-7; "

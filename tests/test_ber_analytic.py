@@ -192,7 +192,7 @@ def iid_form_b_and_a(preset, l_branches):
 
 class TestMixtureAgainstSeries:
     @pytest.mark.parametrize("preset", ["indoor_1", "indoor_2"])
-    @pytest.mark.parametrize("l_branches", [2, 3])
+    @pytest.mark.parametrize("l_branches", [2, 3, 4])
     @pytest.mark.parametrize("snr_db", [0.0, 10.0, 20.0])
     def test_iid_foxh_equals_exact_series(self, preset, l_branches, snr_db):
         # Judges the mixture solve by BER, not by node positions: the

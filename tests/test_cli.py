@@ -265,6 +265,21 @@ class TestOtherSubcommands:
                      "--method", method, "--out", str(out)]) == 0
         assert len(read_curve_csv(str(out)).points) == 3
 
+    @pytest.mark.parametrize("method", ["exact", "foxh", "asymptotic"])
+    def test_form_b_sidecar_reports_the_mixture_fit(self, tmp_path, method):
+        doc = dict(SCN_A, branches=[
+            {"type": "alpha_mu_b", "preset": "indoor_1", "x_mean": x}
+            for x in (0.8, 1.25)])
+        scn = write_scn(tmp_path, doc)
+        for name in ("r1.csv", "r2.csv"):
+            assert main(["ber", "--scenario", scn, "--method", method,
+                         "--out", str(tmp_path / name)]) == 0
+        sidecar = (tmp_path / "r1.csv.json").read_bytes()
+        assert sidecar == (tmp_path / "r2.csv.json").read_bytes()
+        meta = json.loads(sidecar)["metadata"]
+        assert meta["mixture_psi"] == 4
+        assert 0.0 <= meta["mixture_residual"] <= 1e-7
+
     def test_verify_passes(self, capsys):
         assert main(["verify"]) == 0
         out = capsys.readouterr().out

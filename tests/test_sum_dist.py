@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate, optimize
 
+from thzdiv.ber_analytic import ber_alpha_mu_gen_foxh
 from thzdiv.channel_models import (
     AlphaMuA,
     AlphaMuB,
@@ -17,6 +20,11 @@ from thzdiv.channel_models import (
 from thzdiv.errors import DomainError
 from thzdiv.sum_dist import (
     IidAlphaMuSum,
+    _gauss_from_moments,
+    _leading_coefficient_target,
+    _mixture_jacobian,
+    _mixture_residual,
+    _normalized_sum_moments,
     _series_mp,
     convolution_oracle,
     iid_sum_power_pdf,
@@ -153,6 +161,71 @@ class TestMixtureNodes:
         mass, _ = integrate.quad(lambda y: inid_sum_power_pdf(nodes, y),
                                  0.0, np.inf, limit=300)
         assert mass == pytest.approx(1.0, abs=1e-4)
+
+
+class TestMixtureSolveProperty:
+    @settings(max_examples=20, deadline=None)
+    @given(preset=st.sampled_from(["indoor_1", "indoor_2"]),
+           x_means=st.lists(st.floats(0.5, 2.0), min_size=2, max_size=4))
+    def test_valid_mixture_and_ber(self, preset, x_means):
+        nodes = solve_mixture_nodes(
+            [alpha_mu_b_preset(preset, x_mean=x) for x in x_means], nu=1.0)
+        assert np.all(nodes.weights > 0.0) and np.all(nodes.omegas > 0.0)
+        assert nodes.weights.sum() == pytest.approx(1.0, rel=0.0, abs=1e-9)
+        bers = [ber_alpha_mu_gen_foxh(nodes, u) for u in (1, 10, 100, 1000)]
+        assert all(0.0 < p <= 0.5 for p in bers)
+        assert np.all(np.diff(bers) < 0.0)
+
+
+class TestMixtureJacobian:
+    """The analytic Jacobian of the log-space moment system."""
+
+    BRANCHES = [alpha_mu_b_preset("indoor_1", x_mean=x)
+                for x in (0.8, 1.0, 1.25)]
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        # The solve's normalisation, rebuilt here so that the Gauss start
+        # does not depend on the solve.
+        ab = self.BRANCHES[0].alpha / 2.0
+        mb = sum(b.mu for b in self.BRANCHES)
+        bb = math.exp(math.lgamma(mb + 1.0 / ab) - math.lgamma(mb))
+        zb = sum(b.x_mean**2 for b in self.BRANCHES)
+        k = 4
+        M = _normalized_sum_moments(self.BRANCHES, 1.0, 2 * k + 1, mb, ab, bb,
+                                    zb)
+        target = _leading_coefficient_target(self.BRANCHES, 1.0, ab, mb, bb,
+                                             zb)
+        e = np.append(np.arange(2.0 * k - 1.0), -ab * mb)
+        rhs = np.append(M[: 2 * k - 1], target)
+        c0, w0 = _gauss_from_moments(M, k)
+        return e, rhs, np.concatenate([np.log(c0), np.log(w0)])
+
+    @pytest.fixture(scope="class")
+    def solution(self):
+        nodes = solve_mixture_nodes(self.BRANCHES, nu=1.0)
+        assert nodes.psi == 4
+        return np.concatenate([np.log(nodes.weights), np.log(nodes.omegas)])
+
+    @staticmethod
+    def assert_matches_central_differences(u, e, rhs):
+        h = 1e-5
+        # The mean of a forward and a backward difference is the central one.
+        fd = 0.5 * (optimize.approx_fprime(u, _mixture_residual, h, e, rhs)
+                    + optimize.approx_fprime(u, _mixture_residual, -h, e, rhs))
+        np.testing.assert_allclose(_mixture_jacobian(u, e, rhs), fd,
+                                   rtol=1e-6, atol=0.0)
+
+    def test_at_gauss_start(self, system):
+        e, rhs, start = system
+        self.assert_matches_central_differences(start, e, rhs)
+
+    def test_at_solution(self, system, solution):
+        e, rhs, _ = system
+        # The solution solves this very system: it passes the solve's gate.
+        res = _mixture_residual(solution, e, rhs)
+        assert np.max(np.abs(res)) / max(1.0, rhs[-1]) <= 1e-7
+        self.assert_matches_central_differences(solution, e, rhs)
 
 
 class TestConvolutionOracle:
