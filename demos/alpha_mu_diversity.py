@@ -24,10 +24,11 @@ L = 3
 model = alpha_mu_a_preset("indoor_1")
 print(f"branch model: alpha = {model.alpha}, mu = {model.mu} (L = {L} i.i.d.)")
 
-# Exact route: quadrature of Q(.) against the series density of ||h||^2.
+# Exact route: quadrature of Q(.) against the series density of ||h||^2,
+# one call for the whole grid, which shares every density value.
 s = IidAlphaMuSum.build(model, nu=1.0, l_branches=L)
 grid = np.geomspace(0.1, 316.0, 13)
-exact = [ber_exact_quadrature(lambda y: iid_sum_power_pdf(s, y), u) for u in grid]
+exact = ber_exact_quadrature(lambda y: iid_sum_power_pdf(s, y), grid)
 
 # Independent route: variance-reduced Monte Carlo over the same scenario.
 sc = Scenario(branches=(model,) * L, snr_grid=tuple(grid[:9]))

@@ -25,7 +25,6 @@ from .errors import DomainError
 
 __all__ = [
     "SPEED_OF_LIGHT",
-    "BOLTZMANN",
     "AlphaMuA",
     "AlphaMuB",
     "MixtureGamma",
@@ -46,7 +45,6 @@ __all__ = [
 ]
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
-BOLTZMANN = 1.380649e-23  # J/K
 
 
 @dataclass(frozen=True)
@@ -127,8 +125,8 @@ BranchModel = Union[AlphaMuA, AlphaMuB, MixtureGamma]
 class LinkBudget:
     """Deterministic THz link parameters yielding the amplitude scale nu.
 
-    With ``normalized=True`` the scale is nu = 1 and noise power is 1,
-    which is how SNR-swept scenarios are normally run.
+    With ``normalized=True`` the scale is nu = 1, which is how SNR-swept
+    scenarios are normally run.
     """
 
     f: float = 0.142e12  # Hz
@@ -138,21 +136,12 @@ class LinkBudget:
     pt: float = 1.0  # W
     gt: float = 1.0  # linear
     gr: float = 1.0  # linear
-    temperature: float = 300.0  # K
-    bandwidth: float = 4e9  # Hz
     normalized: bool = True
 
     def __post_init__(self):
-        pos = (self.f, self.d, self.rho, self.pt, self.gt, self.gr,
-               self.temperature, self.bandwidth)
+        pos = (self.f, self.d, self.rho, self.pt, self.gt, self.gr)
         if any(v <= 0 for v in pos) or self.kabs < 0:
             raise DomainError("LinkBudget physical fields must be positive (kabs >= 0)")
-
-    @property
-    def noise_power(self) -> float:
-        if self.normalized:
-            return 1.0
-        return BOLTZMANN * self.temperature * self.bandwidth
 
 
 @dataclass(frozen=True)

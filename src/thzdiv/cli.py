@@ -18,10 +18,8 @@ writes a JSON sidecar with the scenario echo, library version, and seed.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -169,8 +167,7 @@ def _parse_link(node) -> LinkBudget:
         raise ScenarioError("link: expected an object")
     node = dict(node)
     kwargs = {}
-    for key in ("f", "d", "kabs", "rho", "pt", "gt", "gr",
-                "temperature", "bandwidth"):
+    for key in ("f", "d", "kabs", "rho", "pt", "gt", "gr"):
         if key in node:
             kwargs[key] = _number(node, key, "link")
     if "normalized" in node:
@@ -302,7 +299,7 @@ def _compute_curve(scenario: Scenario, method: str, mc: dict) -> BerCurve:
                     for u in grid]
         else:
             pdf = _sum_density(scenario, meta)
-            bers = [ber_exact_quadrature(pdf, u, g=scenario.g) for u in grid]
+            bers = ber_exact_quadrature(pdf, grid, g=scenario.g)
         points = [BerPoint(float(u), float(p), 0.0, 1)
                   for u, p in zip(grid, bers)]
         return BerCurve(tuple(points), seed=0, method=method, metadata=meta)

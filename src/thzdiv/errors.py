@@ -9,7 +9,7 @@ class EvaluationError(RuntimeError):
     """A numerical evaluation could not be carried out (e.g. no valid contour)."""
 
 
-class AccuracyError(RuntimeError):
+class AccuracyError(EvaluationError):
     """A computation converged, but not to the requested tolerance.
 
     Carries the tolerance actually achieved in ``achieved``.

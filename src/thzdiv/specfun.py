@@ -158,22 +158,38 @@ def fox_h(params: FoxHParams, z: float) -> float:
         if t_max > 1e7:
             raise EvaluationError("integrand truncation point not found")
 
-    # Trapezoid with step halving; integrand is Hermitian in t, so the
-    # integral reduces to twice the real part over t >= 0.
-    n = 512
-    prev = None
-    for _ in range(14):
-        t = np.linspace(0.0, t_max, n + 1)
+    def integrand(t):
         s = c + 1j * t
-        logf = _log_mellin_kernel(params, s) - s * lnz
-        vals = np.exp(logf - peak_log)
-        est = 2.0 * np.trapezoid(vals.real, t)
-        if prev is not None and abs(est - prev) <= _FOX_H_RTOL * max(abs(est), 1e-300):
-            return est * math.exp(peak_log) / (2.0 * math.pi)
-        prev = est
-        n *= 2
-    achieved = abs(est - prev) / max(abs(est), 1e-300)
+        return np.exp(_log_mellin_kernel(params, s) - s * lnz - peak_log).real
+
+    # The integrand is Hermitian in t, so the integral reduces to twice the
+    # real part over t >= 0.
+    est = _nested_trapezoid(integrand, 0.0, t_max, 512, _FOX_H_RTOL, 13)
+    return float(est) * math.exp(peak_log) / math.pi
+
+
+def _nested_trapezoid(f, a: float, b: float, n: int, rtol: float,
+                      levels: int):
+    """Trapezoid rule for int_a^b f dt, halving the step until two levels agree.
+
+    Starts from n intervals; a halving evaluates f only at the previous
+    level's midpoints.  f maps an array of t to values with t on the first
+    axis; trailing axes are integrated componentwise, and every component
+    must agree to rtol.  Raises AccuracyError when ``levels`` halvings do
+    not suffice.
+    """
+    h = (b - a) / n
+    vals = f(np.linspace(a, b, n + 1))
+    total = np.sum(vals, axis=0) - 0.5 * (vals[0] + vals[-1])
+    est = h * total
+    for _ in range(levels):
+        total = total + np.sum(f(a + h * (np.arange(n) + 0.5)), axis=0)
+        h, n = 0.5 * h, 2 * n
+        prev, est = est, h * total
+        gap = np.abs(est - prev)
+        if np.all(gap <= rtol * np.abs(est)):
+            return est
+    achieved = float(np.max(gap / np.maximum(np.abs(est), 1e-300)))
     raise AccuracyError(
-        f"fox_h quadrature did not reach rtol={_FOX_H_RTOL:g} (achieved {achieved:g})",
-        achieved=achieved,
-    )
+        f"trapezoid rule did not reach rtol={rtol:g} in {levels} halvings "
+        f"(achieved {achieved:g})", achieved=achieved)

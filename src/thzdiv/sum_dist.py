@@ -48,6 +48,9 @@ _TAIL_CUTOFF = 30.0
 # Accuracy iid_sum_power_pdf promises (see there).
 _RTOL, _ATOL = 1e-9, 1e-14
 
+# Float series terms; the high-precision path extends the table up to 4x.
+_TRUNCATION = 400
+
 
 def _series_dps(alpha_bar: float, l_branches: int) -> int:
     """Working precision covering the series' worst cancellation.
@@ -98,27 +101,24 @@ class IidAlphaMuSum:
     mu: float
     z_bar: float  # (z_hat * nu)^2
     l_branches: int
-    truncation: int
     coeffs: np.ndarray
 
     @classmethod
-    def build(cls, model: AlphaMuA, nu: float, l_branches: int,
-              truncation: int = 400) -> "IidAlphaMuSum":
+    def build(cls, model: AlphaMuA, nu: float,
+              l_branches: int) -> "IidAlphaMuSum":
         if nu <= 0:
             raise DomainError("build requires nu > 0")
         if l_branches < 1:
             raise DomainError("l_branches must be a positive integer")
-        if truncation < 8:
-            raise DomainError("truncation must be >= 8")
         ab = model.alpha / 2.0
         zb = (model.z_hat * nu) ** 2
         coeffs = np.array([float(c) for c in _mp_coeffs(
-            ab, model.mu, zb, l_branches, truncation)])
+            ab, model.mu, zb, l_branches, _TRUNCATION)])
         if not np.all(np.isfinite(coeffs)):
             bad = int(np.argmax(~np.isfinite(coeffs)))
             raise EvaluationError(f"series coefficient overflow at index {bad}")
         return cls(alpha_bar=ab, mu=model.mu, z_bar=zb, l_branches=l_branches,
-                   truncation=truncation, coeffs=coeffs)
+                   coeffs=coeffs)
 
     @property
     def phi0(self) -> float:
@@ -163,13 +163,13 @@ def _tail_exponent(s: IidAlphaMuSum, y: float) -> float:
 def _series_mp(s: IidAlphaMuSum, y: float) -> float:
     """High-precision series evaluation for one point.
 
-    Extends the cached coefficient table (up to 4x the configured
-    truncation) when the point needs more terms; points beyond the tail
-    cutoff return 0 without evaluation.
+    Extends the cached coefficient table (up to 4x _TRUNCATION) when the
+    point needs more terms; points beyond the tail cutoff return 0 without
+    evaluation.
     """
     if _tail_exponent(s, y) > _TAIL_CUTOFF:
         return 0.0
-    count = s.truncation
+    count = _TRUNCATION
     dps = _series_dps(s.alpha_bar, s.l_branches)
     while True:
         coeffs = _mp_coeffs(s.alpha_bar, s.mu, s.z_bar, s.l_branches, count)
@@ -191,7 +191,7 @@ def _series_mp(s: IidAlphaMuSum, y: float) -> float:
                 else:
                     small_streak = 0
             achieved = float(abs(term) / max(abs(acc), mp.mpf("1e-300")))
-        if count >= 4 * s.truncation:
+        if count >= 4 * _TRUNCATION:
             raise AccuracyError(
                 f"series truncation {count} insufficient at y={y:g}",
                 achieved=achieved)
@@ -399,43 +399,36 @@ def solve_mixture_nodes(branches, nu: float, psi: int = 4) -> MixtureNodes:
                             residual=abs(M[1] ** (-ab * mu_bar) - target)
                             / max(1.0, target))
 
-    # Initial quadrature; shrink on (near-)degenerate Hankel matrices.
-    k = psi
-    weights = nodes = None
-    while k >= 1:
+    # From psi down, a failed Cholesky, a bad Gauss start or a missed gate
+    # each tries one node fewer.
+    for k in range(psi, 0, -1):
         try:
             weights, nodes = _gauss_from_moments(M, k)
         except np.linalg.LinAlgError:
-            k -= 1
             continue
         recon = np.array([np.sum(weights * nodes**n) for n in range(2 * k)])
-        if (np.all(nodes > 0) and np.all(weights > 0)
+        if not (np.all(nodes > 0) and np.all(weights > 0)
                 and np.max(np.abs(recon - M[: 2 * k])) < 1e-6):
-            break
-        k -= 1
-    if weights is None or k < 1:
-        raise EvaluationError("moment system is degenerate; try a smaller psi")
-
-    e = np.append(np.arange(2.0 * k - 1.0), -ab * mu_bar)
-    rhs = np.append(M[: 2 * k - 1], target)
-    u0 = np.concatenate([np.log(weights), np.log(nodes)])
-    lm = optimize.least_squares(_mixture_residual, u0, jac=_mixture_jacobian,
-                                args=(e, rhs), method="lm", xtol=1e-14,
-                                ftol=1e-14, gtol=1e-14, max_nfev=16000)
-    c, w = np.exp(lm.x[:k]), np.exp(lm.x[k:])
-    r = _mixture_residual(lm.x, e, rhs)
-    res = float(np.max(np.abs(r)) / max(1.0, abs(target)))
-    if res > 1e-7:
-        raise EvaluationError(
-            f"mixture moment system residual {res:.2e} > 1e-7; "
-            "try a smaller psi")
-    if np.any(w <= 0):
-        raise EvaluationError("solver produced non-positive omega nodes")
-    order = np.argsort(w)
-    return MixtureNodes(psi=k, nodes=tuple((float(c[i]), float(w[i]))
-                                           for i in order),
-                        alpha_bar=ab, mu_bar=mu_bar, beta_bar=beta_bar,
-                        z_bar=z_bar, residual=res)
+            continue
+        e = np.append(np.arange(2.0 * k - 1.0), -ab * mu_bar)
+        rhs = np.append(M[: 2 * k - 1], target)
+        u0 = np.concatenate([np.log(weights), np.log(nodes)])
+        lm = optimize.least_squares(_mixture_residual, u0,
+                                    jac=_mixture_jacobian, args=(e, rhs),
+                                    method="lm", xtol=1e-14, ftol=1e-14,
+                                    gtol=1e-14, max_nfev=16000)
+        c, w = np.exp(lm.x[:k]), np.exp(lm.x[k:])
+        r = _mixture_residual(lm.x, e, rhs)
+        res = float(np.max(np.abs(r)) / max(1.0, abs(target)))
+        if res <= 1e-7 and np.all(w > 0):
+            order = np.argsort(w)
+            return MixtureNodes(psi=k, nodes=tuple((float(c[i]), float(w[i]))
+                                                   for i in order),
+                                alpha_bar=ab, mu_bar=mu_bar, beta_bar=beta_bar,
+                                z_bar=z_bar, residual=res)
+    raise EvaluationError(
+        f"no mixture of at most {psi} nodes meets the moment system "
+        "within 1e-7")
 
 
 def inid_sum_power_pdf(nodes: MixtureNodes, y):

@@ -67,6 +67,25 @@ def mg_theta_quad(branches, upsilon, g=1.0):
     return val / math.pi
 
 
+def quad_oracle(pdf, upsilon, g=0.5):
+    """Exact BER by adaptive quadrature in s = ln x, one point at a time.
+
+    The window starts 1e-20 below both the density's scale (x ~ 1) and the
+    error law's (x ~ 1/(2 g Upsilon)) and ends where Q underflows.
+    """
+    scale = 1.0 / (2.0 * g * upsilon)
+
+    def integrand(s):
+        x = math.exp(s)
+        return float(q_function(math.sqrt(x / scale)) * pdf(x)) * x
+
+    lo, hi = math.log(1e-20 * min(scale, 1.0)), math.log(1500.0 * scale)
+    brk = [p for p in (0.0, math.log(scale)) if lo < p < hi]
+    val, _ = integrate.quad(integrand, lo, hi, points=brk, epsabs=0.0,
+                            epsrel=1e-11, limit=200)
+    return val
+
+
 class TestExactQuadrature:
     @pytest.mark.parametrize("upsilon", [0.2, 2.0, 30.0, 500.0])
     def test_rayleigh_closed_form(self, upsilon):
@@ -100,6 +119,32 @@ class TestExactQuadrature:
             ber_exact_quadrature(pdf, 0.0)
         with pytest.raises(DomainError):
             ber_exact_quadrature(pdf, 1.0, g=-1.0)
+        with pytest.raises(DomainError):
+            ber_exact_quadrature(pdf, np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("preset,l_branches,step_db", [
+        ("indoor_1", 1, 50.0), ("indoor_2", 4, 50.0), (None, 1, 10.0)],
+        ids=["indoor_1-L1", "indoor_2-L4", "rayleigh"])
+    def test_grid_matches_adaptive_quadrature(self, preset, l_branches,
+                                              step_db):
+        if preset is None:
+            pdf = lambda y: power_pdf(RAYLEIGH, 1.0, y)
+        else:
+            s = IidAlphaMuSum.build(alpha_mu_a_preset(preset), 1.0,
+                                    l_branches)
+            pdf = lambda y: iid_sum_power_pdf(s, y)
+        grid = 10.0 ** (np.arange(-100.0, 100.1, step_db) / 10.0)
+        ref = [quad_oracle(pdf, u) for u in grid]
+        assert ber_exact_quadrature(pdf, grid) == pytest.approx(
+            ref, rel=1e-9, abs=0.0)
+
+    def test_scalar_mode_agrees_with_grid_mode(self, nodes):
+        pdf = lambda y: inid_sum_power_pdf(nodes, y)
+        grid = 10.0 ** (np.arange(-100.0, 100.1, 10.0) / 10.0)
+        scalars = [ber_exact_quadrature(pdf, u) for u in grid]
+        assert all(isinstance(p, float) for p in scalars)
+        assert ber_exact_quadrature(pdf, grid) == pytest.approx(
+            scalars, rel=1e-12, abs=0.0)
 
 
 class TestAlphaMuIidAsymptote:

@@ -163,15 +163,12 @@ class TestLinkBudget:
     def test_normalized_link_is_unit_scale(self):
         link = LinkBudget()
         assert branch_scale_nu(link) == 1.0
-        assert link.noise_power == 1.0
 
     def test_physical_link(self):
         link = LinkBudget(normalized=False, pt=2.0, gt=10.0, gr=79.43)
         expect = math.sqrt(2.0 * 10.0 * 79.43) * path_loss_amplitude(
             link.f, link.d, link.kabs, link.rho)
         assert branch_scale_nu(link) == pytest.approx(expect, rel=1e-12)
-        assert link.noise_power == pytest.approx(
-            1.380649e-23 * 300.0 * 4e9, rel=1e-12)
 
     def test_rejects_nonphysical(self):
         with pytest.raises(DomainError):

@@ -5,6 +5,8 @@ import math
 
 import pytest
 
+from thzdiv import cli
+from thzdiv.ber_analytic import ber_exact_quadrature
 from thzdiv.cli import (
     CSV_HEADER,
     ScenarioError,
@@ -104,6 +106,32 @@ class TestBerSubcommand:
         sidecar = json.loads((tmp_path / "curve.csv.json").read_text())
         assert sidecar["scenario"] == SCN_A
         assert sidecar["method"] == "exact"
+
+    def test_exact_takes_the_grid_in_one_call(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(pdf, upsilon, g):
+            calls.append(upsilon)
+            return ber_exact_quadrature(pdf, upsilon, g=g)
+
+        monkeypatch.setattr(cli, "ber_exact_quadrature", spy)
+        assert main(["ber", "--scenario", write_scn(tmp_path, SCN_A),
+                     "--method", "exact", "--out",
+                     str(tmp_path / "o.csv")]) == 0
+        assert len(calls) == 1
+        assert list(calls[0]) == [1.0, 10.0 ** 0.5, 10.0]
+
+    def test_exact_curve_at_the_grid_cap(self, tmp_path):
+        doc = dict(SCN_A, branches=[
+            {"type": "alpha_mu_b", "preset": "indoor_1", "x_mean": x}
+            for x in (0.8, 1.25)],
+            snr_db={"start": -50, "stop": 49.99, "step": 0.01})
+        out = tmp_path / "o.csv"
+        assert main(["ber", "--scenario", write_scn(tmp_path, doc),
+                     "--method", "exact", "--out", str(out)]) == 0
+        bers = [p.ber for p in read_curve_csv(str(out)).points]
+        assert len(bers) == 10_000
+        assert 0.0 < bers[-1] < bers[0] <= 0.5
 
     def test_mc_byte_determinism(self, tmp_path):
         scn = write_scn(tmp_path, SCN_A)
@@ -217,6 +245,7 @@ class TestOtherSubcommands:
         ({"g": "x"}, "scenario.g"),
         ({"snr_db": {"start": "a", "stop": 10, "step": 5}}, "snr_db.start"),
         ({"link": {"d": "far"}}, "link.d"),
+        ({"link": {"temperature": 300.0}}, "link"),
         ({"mc": {"trials": "many"}}, "mc.trials"),
         ({"mc": {"trials": None}}, "mc.trials"),
         ({"mc": {"seed": 1.5}}, "mc.seed"),
@@ -230,6 +259,7 @@ class TestOtherSubcommands:
                        {"preset": "indoor_1", "copies": 4}]},
          "branches[1].copies"),
     ], ids=["g_not_a_number", "grid_not_a_number", "link_not_a_number",
+            "link_noise_setting",
             "trials_not_a_number", "trials_null", "seed_not_integral",
             "grid_overflow", "grid_too_long", "copies_not_integral",
             "copies_too_many", "branches_too_many"])

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from thzdiv.errors import DomainError, EvaluationError
-from thzdiv.specfun import FoxHParams, fox_h, q_function
+from thzdiv.errors import AccuracyError, DomainError, EvaluationError
+from thzdiv.specfun import FoxHParams, _nested_trapezoid, fox_h, q_function
 
 # H^{1,0}_{0,1}[z | -; (0,1)] = exp(-z)
 H_EXP = FoxHParams(m=1, n=0, upper=(), lower=((0.0, 1.0),))
@@ -102,3 +102,20 @@ class TestFoxHValidation:
                             lower=((0.0, 1.0),))
         with pytest.raises(EvaluationError):
             fox_h(params, 1.0)
+
+
+class TestNestedTrapezoid:
+    def test_trailing_axes_each_converge(self):
+        est = _nested_trapezoid(
+            lambda t: np.stack([np.exp(t), np.cos(t)], axis=1),
+            0.0, 1.0, 4, 1e-10, 20)
+        assert est == pytest.approx([math.e - 1.0, math.sin(1.0)], rel=1e-9)
+
+    def test_levels_run_out_is_an_evaluation_error(self):
+        # A kink keeps the trapezoid error at O(h^2): three halvings of a
+        # two-interval rule cannot reach 1e-12.
+        with pytest.raises(EvaluationError) as info:
+            _nested_trapezoid(lambda t: np.abs(t - 0.3), 0.0, 1.0, 2,
+                              1e-12, 3)
+        assert isinstance(info.value, AccuracyError)
+        assert info.value.achieved > 1e-12

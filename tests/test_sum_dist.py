@@ -92,7 +92,7 @@ class TestIidSeries:
         # delta_0 = Gamma(alpha_bar * mu)^L by construction, and coeffs[0]
         # scales it by 1/Gamma(phi0) with phi0 = alpha_bar * mu * L.
         s = IidAlphaMuSum.build(AlphaMuA(alpha=2 * 1.726, mu=0.51571),
-                                nu=1.0, l_branches=2, truncation=8)
+                                nu=1.0, l_branches=2)
         am = 1.726 * 0.51571
         assert s.coeffs[0] == pytest.approx(
             math.gamma(am) ** 2 / math.gamma(2 * am), rel=1e-12)
@@ -161,6 +161,14 @@ class TestMixtureNodes:
         mass, _ = integrate.quad(lambda y: inid_sum_power_pdf(nodes, y),
                                  0.0, np.inf, limit=300)
         assert mass == pytest.approx(1.0, abs=1e-4)
+
+    def test_missed_gate_tries_a_smaller_psi(self):
+        # Six nodes leave a residual of 3.6e-7 here; five meet the gate.
+        branches = [AlphaMuB(alpha=2.0, mu=m, x_mean=x) for m, x in zip(
+            (1.3, 0.95, 0.62, 0.87, 1.57), (0.8, 1.05, 0.51, 1.75, 0.73))]
+        nodes = solve_mixture_nodes(branches, nu=1.0, psi=6)
+        assert nodes.psi == 5
+        assert nodes.residual <= 1e-7
 
 
 class TestMixtureSolveProperty:
