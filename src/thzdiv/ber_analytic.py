@@ -12,7 +12,7 @@ value, with kappa2 the diversity exponent of BER ~ kappa1 * Upsilon^-kappa2.
 from __future__ import annotations
 
 import enum
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 
@@ -112,14 +112,24 @@ def ber_exact_quadrature(sum_pdf, upsilon, g: float = 0.5):
     return float(ber) if u.ndim == 0 else ber
 
 
+def _ln_kappa1(ln_c0, phi, g):
+    """ln kappa1 of the law kappa1 Upsilon^-phi; elementwise on arrays.
+
+    Every asymptote integrates the leading small-y term c0 y^(phi-1) of its
+    sum density against the error law: int Q(sqrt(2 g Upsilon y)) c0
+    y^(phi-1) dy = c0 Gamma(phi + 1/2) / (2 sqrt(pi) phi) g^-phi Upsilon^-phi.
+    """
+    return (ln_c0 + sp.gammaln(phi + 0.5) - np.log(2.0 * _SQRT_PI * phi)
+            - phi * np.log(g))
+
+
 def ber_alpha_mu_iid_asymptote(model: AlphaMuA, nu: float, l_branches: int,
                                upsilon, g: float = 0.5):
     """High-SNR BER for L i.i.d. alpha-mu (form A) branches.
 
-    kappa2 = phi0 = (alpha/2) mu L.  The leading constant follows from the
-    small-argument sum density C y^{phi0-1}/Gamma(phi0) integrated against
-    the error law, which for g = 1/2 gives the 2^{phi0-1} factor (checked
-    against the Rayleigh closed form and the quadrature oracle).
+    kappa2 = phi0 = (alpha/2) mu L.  The sum density starts as
+    C y^(phi0-1)/Gamma(phi0) (checked against the Rayleigh closed form and
+    the quadrature oracle).
     """
     if l_branches < 1:
         raise DomainError("l_branches must be >= 1")
@@ -128,10 +138,9 @@ def ber_alpha_mu_iid_asymptote(model: AlphaMuA, nu: float, l_branches: int,
     phi0 = ab * m * l_branches
     ln_c = l_branches * (math.log(ab) + m * math.log(m) + sp.gammaln(ab * m)
                          - sp.gammaln(m) - ab * m * math.log(z_bar))
-    ln_k1 = (ln_c + sp.gammaln(phi0 + 0.5) - sp.gammaln(phi0 + 1.0)
-             - 0.5 * math.log(math.pi) - math.log(2.0) - phi0 * math.log(g))
-    law = AsymptoteLaw(kappa1=math.exp(ln_k1), kappa2=phi0,
-                       source=AsymptoteSource.ALPHA_MU_IID)
+    law = AsymptoteLaw(
+        kappa1=math.exp(_ln_kappa1(ln_c - sp.gammaln(phi0), phi0, g)),
+        kappa2=phi0, source=AsymptoteSource.ALPHA_MU_IID)
     return law(upsilon), law
 
 
@@ -149,10 +158,15 @@ def _eq23_foxh_params(nodes: MixtureNodes) -> FoxHParams:
     )
 
 
-def ber_alpha_mu_gen_foxh(nodes: MixtureNodes, upsilon: float) -> float:
-    """Exact BER of the i.n.i.d. alpha-mu (form B) sum via Fox-H (g = 1/2)."""
-    if upsilon <= 0:
-        raise DomainError("upsilon must be positive")
+def ber_alpha_mu_gen_foxh(nodes: MixtureNodes, upsilon: float,
+                          g: float = 0.5) -> float:
+    """Exact BER of the i.n.i.d. alpha-mu (form B) sum via Fox-H.
+
+    Eq. 23 is written for Q(sqrt(Upsilon y)); it is taken at 2 g Upsilon.
+    """
+    if upsilon <= 0 or g <= 0:
+        raise DomainError("upsilon and g must be positive")
+    upsilon = 2.0 * g * upsilon
     am = nodes.alpha_bar * nodes.mu_bar
     params = _eq23_foxh_params(nodes)
     total = 0.0
@@ -163,19 +177,14 @@ def ber_alpha_mu_gen_foxh(nodes: MixtureNodes, upsilon: float) -> float:
     return total
 
 
-def ber_alpha_mu_gen_asymptote(nodes: MixtureNodes, upsilon):
+def ber_alpha_mu_gen_asymptote(nodes: MixtureNodes, upsilon, g: float = 0.5):
     """High-SNR BER of the form-B sum; kappa2 = (alpha/2) sum_j mu_j.
 
-    kappa1 carries h1* = Gamma(am) Gamma(am + 1/2) / Gamma(am + 1), the
-    residue constant of the leading small-z term of the Fox-H kernel used
-    by ``ber_alpha_mu_gen_foxh`` (am = alpha_bar * mu_bar).
+    The mixture density starts as (sum_m Lambda_m) y^(alpha_bar mu_bar - 1).
     """
     am = nodes.alpha_bar * nodes.mu_bar
-    lam_sum = float(nodes.lambdas.sum())
-    h1 = math.exp(sp.gammaln(am) + sp.gammaln(0.5 + am)
-                  - sp.gammaln(1.0 + am))
-    k1 = 2.0 ** (am - 1.0) / _SQRT_PI * lam_sum * h1
-    law = AsymptoteLaw(kappa1=k1, kappa2=am,
+    ln_k1 = _ln_kappa1(math.log(nodes.lambdas.sum()), am, g)
+    law = AsymptoteLaw(kappa1=math.exp(ln_k1), kappa2=am,
                        source=AsymptoteSource.ALPHA_MU_GEN)
     return law(upsilon), law
 
@@ -223,44 +232,29 @@ def ber_mg_asymptote(branches, nu: float, upsilon, g: float = 1.0,
                      dominant_only: bool = False):
     """High-SNR BER for L MG branches (identical branches allowed).
 
-    Enumerates every component index tuple (n_1..n_L); each contributes
-    (1/pi) prod_l [alpha Gamma(beta/2) / (2 nu^beta g^{beta/2})]
-    * 2^{sum beta - 1} B((sum beta + 1)/2, ...) * Upsilon^{-sum beta / 2}.
-    kappa2 is the minimal sum beta/2; kappa1 sums the coefficients of all
-    tuples attaining it.  ``dominant_only`` returns kappa1 Upsilon^-kappa2.
+    Enumerates every component index tuple (n_1..n_L).  A tuple's sum
+    density starts as c0 y^(phi-1), phi = sum beta / 2, with
+    c0 = prod_l [alpha Gamma(beta/2) / (2 nu^beta)] / Gamma(phi).
+    kappa2 is the minimal phi; kappa1 sums the coefficients of all tuples
+    attaining it.  ``dominant_only`` returns kappa1 Upsilon^-kappa2.
     """
     branches = list(branches)
     if not branches:
         raise DomainError("need at least one branch")
     if not all(isinstance(b, MixtureGamma) for b in branches):
         raise DomainError("ber_mg_asymptote expects MixtureGamma branches")
-    sizes = [b.n_components for b in branches]
-    n_terms = int(np.prod(sizes))
+    n_terms = math.prod(b.n_components for b in branches)
     if n_terms > _TERM_CAP:
         raise EvaluationError(
             f"{n_terms} index tuples exceed the cap {_TERM_CAP}; "
             "use dominant_only=True")
 
-    per_branch = []
-    for b in branches:
-        beta = b.shapes
-        ln_coef = (np.log(b.alphas) + sp.gammaln(beta / 2.0) - math.log(2.0)
-                   - beta * math.log(nu) - (beta / 2.0) * math.log(g))
-        per_branch.append(list(zip(ln_coef, beta)))
-
-    exps = []
-    ln_coefs = []
-    for combo in itertools.product(*per_branch):
-        beta_sum = sum(be for _, be in combo)
-        ln_c = sum(lc for lc, _ in combo)
-        ln_c += ((beta_sum - 1.0) * math.log(2.0)
-                 + 2.0 * sp.gammaln(0.5 * (beta_sum + 1.0))
-                 - sp.gammaln(beta_sum + 1.0)
-                 - math.log(math.pi))
-        exps.append(0.5 * beta_sum)
-        ln_coefs.append(ln_c)
-    exps = np.array(exps)
-    ln_coefs = np.array(ln_coefs)
+    ln_c0 = functools.reduce(np.add.outer, [
+        np.log(b.alphas) - math.log(2.0) - b.shapes * math.log(nu)
+        + sp.gammaln(b.shapes / 2.0) for b in branches]).ravel()
+    exps = functools.reduce(np.add.outer,
+                            [b.shapes for b in branches]).ravel() / 2.0
+    ln_coefs = _ln_kappa1(ln_c0 - sp.gammaln(exps), exps, g)
 
     kappa2 = float(exps.min())
     lead = np.isclose(exps, kappa2, rtol=0.0, atol=1e-9)

@@ -90,8 +90,11 @@ class MixtureGamma:
         object.__setattr__(self, "components", comps)
         if not comps:
             raise DomainError("MixtureGamma needs at least one component")
-        if any(w <= 0 or w > 1 or b <= 0 or z <= 0 for w, b, z in comps):
-            raise DomainError("MixtureGamma requires w in (0,1], beta > 0, zeta > 0")
+        # Written so that NaN fails every comparison and is rejected.
+        if not all(0 < w <= 1 and 0 < b < math.inf and 0 < z < math.inf
+                   for w, b, z in comps):
+            raise DomainError("MixtureGamma requires w in (0,1] and finite "
+                              "beta > 0, zeta > 0")
         if abs(sum(w for w, _, _ in comps) - 1.0) > 1e-9:
             raise DomainError("MixtureGamma weights must sum to 1 (within 1e-9)")
 

@@ -150,9 +150,11 @@ def _parse_branch(node, idx: int):
         comps = _pop(node, "components", path, required=True)
         try:
             comps = tuple((float(w), float(b), float(z)) for w, b, z in comps)
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(
-                f"{path}.components: expected a list of [w, beta, zeta]") from exc
+            if not all(math.isfinite(v) for c in comps for v in c):
+                raise ValueError(comps)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ScenarioError(f"{path}.components: expected a list of "
+                                "[w, beta, zeta] finite numbers") from exc
         model = MixtureGamma(components=comps)
     else:
         raise ScenarioError(f"{path}: unknown branch type {kind!r}")
@@ -171,7 +173,11 @@ def _parse_link(node) -> LinkBudget:
         if key in node:
             kwargs[key] = _number(node, key, "link")
     if "normalized" in node:
-        kwargs["normalized"] = bool(node.pop("normalized"))
+        normalized = node.pop("normalized")
+        if not isinstance(normalized, bool):
+            raise ScenarioError("link.normalized: expected true or false, "
+                                f"got {normalized!r}")
+        kwargs["normalized"] = normalized
     _reject_unknown(node, "link")
     return LinkBudget(**kwargs)
 
@@ -247,14 +253,22 @@ def load_scenario(path: str):
 # --- sum-density construction ------------------------------------------------
 
 def _family(scenario: Scenario) -> str:
+    """The branches' fading family; form-A sums need identical branches."""
     kinds = {type(b) for b in scenario.branches}
-    if kinds == {AlphaMuA}:
-        return "alpha_mu_a"
-    if kinds == {AlphaMuB}:
-        return "alpha_mu_b"
-    if kinds == {MixtureGamma}:
-        return "mixture_gamma"
-    raise ScenarioError("branches: mixing fading families is not supported")
+    if len(kinds) != 1:
+        raise ScenarioError(
+            "branches: mixing fading families is not supported")
+    if kinds == {AlphaMuA} and len(set(scenario.branches)) != 1:
+        raise ScenarioError("alpha_mu_a sums require identical branches")
+    return {AlphaMuA: "alpha_mu_a", AlphaMuB: "alpha_mu_b",
+            MixtureGamma: "mixture_gamma"}[kinds.pop()]
+
+
+def _mixture(scenario: Scenario, meta: dict):
+    """The form-B mixture nodes; their psi and residual go into meta."""
+    nodes = solve_mixture_nodes(scenario.branches, scenario.nu)
+    meta.update(mixture_psi=nodes.psi, mixture_residual=nodes.residual)
+    return nodes
 
 
 def _sum_density(scenario: Scenario, meta: dict):
@@ -262,79 +276,54 @@ def _sum_density(scenario: Scenario, meta: dict):
     fam = _family(scenario)
     nu = scenario.nu
     if fam == "alpha_mu_a":
-        if len(set(scenario.branches)) != 1:
-            raise ScenarioError("alpha_mu_a sums require identical branches")
-        model = scenario.branches[0]
-        s = IidAlphaMuSum.build(model, nu, scenario.l_branches)
+        s = IidAlphaMuSum.build(scenario.branches[0], nu, scenario.l_branches)
         return lambda y: iid_sum_power_pdf(s, y)
     if fam == "alpha_mu_b":
-        nodes = solve_mixture_nodes(scenario.branches, nu)
-        meta.update(mixture_psi=nodes.psi, mixture_residual=nodes.residual)
+        nodes = _mixture(scenario, meta)
         return lambda y: inid_sum_power_pdf(nodes, y)
     pdfs = [lambda y, m=m: power_pdf(m, nu, y) for m in scenario.branches]
-    if len(pdfs) == 1:
-        return pdfs[0]
-    table = convolution_oracle(pdfs)
-    return table
+    return pdfs[0] if len(pdfs) == 1 else convolution_oracle(pdfs)
 
 
 # --- curve computation -------------------------------------------------------
 
 def _compute_curve(scenario: Scenario, method: str, mc: dict) -> BerCurve:
-    grid = np.array(scenario.snr_grid)
-    fam = _family(scenario)
-    meta: dict = {}
-
+    # Monte Carlo samples each branch on its own: no sum density, no family.
     if method == "mc":
         return simulate_mrc_ber(scenario, trials=mc["trials"], seed=mc["seed"],
                                 method=mc["method"])
-
-    if method == "mgf" and fam != "mixture_gamma":
-        raise ScenarioError("method 'mgf' applies to mixture_gamma branches")
-    if method in ("exact", "mgf"):
+    grid = np.array(scenario.snr_grid)
+    fam = _family(scenario)
+    branches, nu, g = scenario.branches, scenario.nu, scenario.g
+    meta: dict = {}
+    law = None
+    if method in ("exact", "mgf") and fam == "mixture_gamma":
         # For MG branches the Craig-form MGF is the exact route.
-        if fam == "mixture_gamma":
-            bers = [ber_mg_mgf(scenario.branches, scenario.nu,
-                               scenario.l_branches, u, g=scenario.g)
-                    for u in grid]
-        else:
-            pdf = _sum_density(scenario, meta)
-            bers = ber_exact_quadrature(pdf, grid, g=scenario.g)
-        points = [BerPoint(float(u), float(p), 0.0, 1)
-                  for u, p in zip(grid, bers)]
-        return BerCurve(tuple(points), seed=0, method=method, metadata=meta)
-
-    if method == "foxh":
-        if fam != "alpha_mu_b":
-            raise ScenarioError("method 'foxh' applies to alpha_mu_b branches")
-        nodes = solve_mixture_nodes(scenario.branches, scenario.nu)
-        meta.update(mixture_psi=nodes.psi, mixture_residual=nodes.residual)
-        points = [BerPoint(float(u),
-                           float(min(ber_alpha_mu_gen_foxh(nodes, u), 0.5)),
-                           0.0, 1) for u in grid]
-        return BerCurve(tuple(points), seed=0, method="foxh", metadata=meta)
-
-    if method == "asymptotic":
-        if fam == "alpha_mu_a":
-            model = scenario.branches[0]
-            if len(set(scenario.branches)) != 1:
-                raise ScenarioError("alpha_mu_a asymptote requires identical branches")
-            vals, law = ber_alpha_mu_iid_asymptote(
-                model, scenario.nu, scenario.l_branches, grid, g=scenario.g)
-        elif fam == "alpha_mu_b":
-            nodes = solve_mixture_nodes(scenario.branches, scenario.nu)
-            meta.update(mixture_psi=nodes.psi, mixture_residual=nodes.residual)
-            vals, law = ber_alpha_mu_gen_asymptote(nodes, grid)
-        else:
-            vals, law = ber_mg_asymptote(scenario.branches, scenario.nu, grid,
-                                         g=scenario.g, dominant_only=True)
+        bers = [ber_mg_mgf(branches, nu, len(branches), u, g=g) for u in grid]
+    elif method == "exact":
+        bers = ber_exact_quadrature(_sum_density(scenario, meta), grid, g=g)
+    elif method == "foxh" and fam == "alpha_mu_b":
+        nodes = _mixture(scenario, meta)
+        bers = [min(ber_alpha_mu_gen_foxh(nodes, u, g=g), 0.5) for u in grid]
+    elif method == "asymptotic" and fam == "alpha_mu_a":
+        bers, law = ber_alpha_mu_iid_asymptote(branches[0], nu, len(branches),
+                                               grid, g=g)
+    elif method == "asymptotic" and fam == "alpha_mu_b":
+        bers, law = ber_alpha_mu_gen_asymptote(_mixture(scenario, meta), grid,
+                                               g=g)
+    elif method == "asymptotic":
+        bers, law = ber_mg_asymptote(branches, nu, grid, g=g,
+                                     dominant_only=True)
+    else:
+        raise ScenarioError(
+            f"method {method!r} does not apply to {fam} branches")
+    if law is not None:
         meta.update(kappa1=law.kappa1, kappa2=law.kappa2,
                     source=law.source.value)
-        points = [BerPoint(float(u), float(min(v, 1.0)), 0.0, 1)
-                  for u, v in zip(grid, np.atleast_1d(vals))]
-        return BerCurve(tuple(points), seed=0, method="asymptotic", metadata=meta)
-
-    raise ScenarioError(f"unknown ber method {method!r}")
+        bers = np.minimum(bers, 1.0)
+    points = tuple(BerPoint(float(u), float(p), 0.0, 1)
+                   for u, p in zip(grid, bers))
+    return BerCurve(points, seed=0, method=method, metadata=meta)
 
 
 def write_curve_csv(curve: BerCurve, path: str):
@@ -373,6 +362,15 @@ def read_curve_csv(path: str) -> BerCurve:
 
 def _cmd_pdf(args) -> int:
     scenario, _, _ = load_scenario(args.scenario)
+    if args.branch is not None and not 0 <= args.branch < scenario.l_branches:
+        raise DomainError(f"--branch: expected 0 <= branch < "
+                          f"{scenario.l_branches}, got {args.branch}")
+    if not 1 <= args.points <= _MAX_GRID_POINTS:
+        raise DomainError(f"--points: expected 1 <= points <= "
+                          f"{_MAX_GRID_POINTS}, got {args.points}")
+    if not 0.0 <= args.ymin < args.ymax < math.inf:
+        raise DomainError(f"--ymin/--ymax: expected finite 0 <= ymin < ymax, "
+                          f"got {args.ymin!r} and {args.ymax!r}")
     if args.branch is not None:
         model = scenario.branches[args.branch]
         if args.envelope:
@@ -382,7 +380,7 @@ def _cmd_pdf(args) -> int:
     else:
         pdf = _sum_density(scenario, {})
     y = np.linspace(args.ymin, args.ymax, args.points)
-    vals = np.array([float(pdf(v)) for v in y])
+    vals = pdf(y)
     lines = ["y,pdf"] + [f"{_fmt(a)},{_fmt(b)}" for a, b in zip(y, vals)]
     _emit(args.out, "\n".join(lines) + "\n")
     return 0

@@ -157,14 +157,10 @@ def simulate_mrc_ber(scenario: Scenario, trials: int, seed: int,
         max_workers = int(os.environ.get(_WORKER_ENV, "0")) or (os.cpu_count() or 1)
     max_workers = max(1, min(max_workers, len(sizes)))
 
-    if max_workers == 1:
-        results = [_run_chunk(scenario, seed, k, n, method, grid)
+    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+        futures = [pool.submit(_run_chunk, scenario, seed, k, n, method, grid)
                    for k, n in enumerate(sizes)]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [pool.submit(_run_chunk, scenario, seed, k, n, method, grid)
-                       for k, n in enumerate(sizes)]
-            results = [f.result() for f in futures]
+        results = [f.result() for f in futures]
 
     points = []
     zero_bounds = {}

@@ -209,6 +209,13 @@ class TestFormBFoxH:
         assert ber_alpha_mu_gen_foxh(nodes, 40.0) == pytest.approx(
             0.000270781050, rel=1e-6)
 
+    @pytest.mark.parametrize("g", [0.25, 1.0])
+    def test_foxh_honours_g(self, nodes, g):
+        p_q = ber_exact_quadrature(lambda y: inid_sum_power_pdf(nodes, y),
+                                   40.0, g=g)
+        assert ber_alpha_mu_gen_foxh(nodes, 40.0, g=g) == pytest.approx(
+            p_q, rel=1e-8)
+
     def test_asymptote_law(self, nodes):
         _, law = ber_alpha_mu_gen_asymptote(nodes, 100.0)
         assert law.kappa2 == pytest.approx(1.7812004548, abs=1e-9)
@@ -356,6 +363,26 @@ class TestMgAsymptote:
             ratios.append(asym / exact)
         assert ratios[1] < ratios[0]
         assert ratios[1] == pytest.approx(1.0, abs=0.05)
+
+
+class TestAsymptoteLaw:
+    @pytest.mark.parametrize("route", ["form_a", "form_b", "mg"])
+    @pytest.mark.parametrize("g", [0.25, 1.0, 3.0])
+    def test_kappa1_scales_with_g(self, nodes, route, g):
+        # Q(sqrt(2 g Upsilon y)) makes Upsilon and g enter as a product.
+        law_at = {
+            "form_a": lambda g: ber_alpha_mu_iid_asymptote(
+                alpha_mu_a_preset("indoor_1"), 1.0, 2, 1.0, g=g)[1],
+            "form_b": lambda g: ber_alpha_mu_gen_asymptote(nodes, 1.0,
+                                                           g=g)[1],
+            "mg": lambda g: ber_mg_asymptote(
+                [mg_preset("mg_config1"), mg_preset("mg_config3")], 1.0, 1.0,
+                g=g)[1],
+        }[route]
+        half, law = law_at(0.5), law_at(g)
+        assert law.kappa2 == half.kappa2
+        assert law.kappa1 == pytest.approx(
+            half.kappa1 * (2.0 * g) ** -half.kappa2, rel=1e-13)
 
 
 class TestHelpers:

@@ -147,6 +147,11 @@ class TestPresets:
             MixtureGamma(components=((0.5, 2.0, 1.0),))  # weights don't sum
         with pytest.raises(DomainError):
             MixtureGamma(components=((1.0, -1.0, 1.0),))
+        # NaN passes no comparison, so it must not pass the check either.
+        for bad in ((1.0, 2.0, math.inf), (1.0, math.nan, 1.0),
+                    (math.nan, 2.0, 1.0)):
+            with pytest.raises(DomainError):
+                MixtureGamma(components=(bad,))
 
 
 class TestLinkBudget:

@@ -163,6 +163,37 @@ class TestBerSubcommand:
         bers = [p.ber for p in curve.points]
         assert bers == sorted(bers, reverse=True)
 
+    def test_form_b_routes_honour_g(self, tmp_path):
+        doc = dict(SCN_A, g=1.0, snr_db={"start": 0, "stop": 20, "step": 5},
+                   branches=[{"type": "alpha_mu_b", "preset": "indoor_1",
+                              "copies": 2}])
+        scn = write_scn(tmp_path, doc)
+        bers = {}
+        for method in ("exact", "foxh", "asymptotic"):
+            out = tmp_path / f"{method}.csv"
+            assert main(["ber", "--scenario", scn, "--method", method,
+                         "--out", str(out)]) == 0
+            bers[method] = [p.ber for p in read_curve_csv(str(out)).points]
+        assert bers["foxh"] == pytest.approx(bers["exact"], rel=1e-9, abs=0.0)
+        assert bers["asymptotic"][-1] / bers["exact"][-1] == pytest.approx(
+            1.0, abs=0.01)
+
+    @pytest.mark.parametrize("branch,method,family", [
+        ({"preset": "indoor_1"}, "mgf", "alpha_mu_a"),
+        ({"preset": "indoor_1"}, "foxh", "alpha_mu_a"),
+        ({"type": "alpha_mu_b", "preset": "indoor_1"}, "mgf", "alpha_mu_b"),
+        ({"preset": "mg_config1"}, "foxh", "mixture_gamma"),
+    ], ids=["a_mgf", "a_foxh", "b_mgf", "mg_foxh"])
+    def test_inapplicable_method_names_method_and_family(
+            self, tmp_path, capsys, branch, method, family):
+        scn = write_scn(tmp_path, dict(SCN_MG, branches=[branch]))
+        rc = main(["ber", "--scenario", scn, "--method", method,
+                   "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("scenario error: ") and err.count("\n") == 1
+        assert f"'{method}'" in err and f"{family} branches" in err
+
     def test_foxh_rejected_for_wrong_family(self, tmp_path, capsys):
         scn = write_scn(tmp_path, SCN_MG)
         rc = main(["ber", "--scenario", scn, "--method", "foxh",
@@ -186,6 +217,41 @@ class TestOtherSubcommands:
         rows = out.read_text().splitlines()
         assert rows[0] == "y,pdf"
         assert len(rows) == 51
+
+    @pytest.mark.parametrize("args,flag", [
+        (["--branch", "7"], "--branch"),
+        (["--branch", "-1"], "--branch"),
+        (["--points", "-5"], "--points"),
+        (["--points", "10001"], "--points"),
+        (["--ymin", "5", "--ymax", "1"], "--ymin"),
+        (["--ymax", "inf"], "--ymin"),
+    ], ids=["branch_too_large", "branch_negative", "points_negative",
+            "points_too_many", "range_backwards", "range_infinite"])
+    def test_pdf_rejects_bad_arguments(self, tmp_path, capsys, args, flag):
+        out = tmp_path / "pdf.csv"
+        rc = main(["pdf", "--scenario", write_scn(tmp_path, SCN_A),
+                   "--out", str(out)] + args)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {flag}") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("branches", [
+        [{"preset": "indoor_1", "copies": 2}],
+        [{"type": "alpha_mu_b", "preset": "indoor_1", "x_mean": x}
+         for x in (0.8, 1.25)],
+        [{"preset": "mg_config1", "copies": 2}],
+    ], ids=["form_a", "form_b", "mg"])
+    def test_pdf_matches_the_pointwise_density(self, tmp_path, branches):
+        # One array call must give what one call per point gives.
+        scn = write_scn(tmp_path, dict(SCN_A, branches=branches))
+        out = tmp_path / "pdf.csv"
+        assert main(["pdf", "--scenario", scn, "--points", "40",
+                     "--out", str(out)]) == 0
+        pdf = cli._sum_density(load_scenario(scn)[0], {})
+        rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+        assert [float(v) for _, v in rows] == [float(pdf(float(y)))
+                                               for y, _ in rows]
 
     def test_fit_subcommand(self, tmp_path):
         # Synthesize an exact curve CSV, then fit it back.
@@ -229,7 +295,12 @@ class TestOtherSubcommands:
         ({"type": "mixture_gamma",
           "components": [[0.5, 4.0, 0.1], [0.5, 2.0]]},
          r"branches[0].components"),
-    ], ids=["unknown_preset", "non_numeric_field", "short_component"])
+        ({"type": "mixture_gamma", "components": [[1.0, 2.0, math.inf]]},
+         r"branches[0].components"),
+        ({"type": "mixture_gamma", "components": [[1.0, math.nan, 1.0]]},
+         r"branches[0].components"),
+    ], ids=["unknown_preset", "non_numeric_field", "short_component",
+            "infinite_component", "nan_component"])
     def test_malformed_branch_is_a_scenario_error(self, tmp_path, capsys,
                                                   branch, field):
         scn = write_scn(tmp_path, dict(SCN_A, branches=[branch]))
@@ -246,6 +317,7 @@ class TestOtherSubcommands:
         ({"snr_db": {"start": "a", "stop": 10, "step": 5}}, "snr_db.start"),
         ({"link": {"d": "far"}}, "link.d"),
         ({"link": {"temperature": 300.0}}, "link"),
+        ({"link": {"normalized": "false"}}, "link.normalized"),
         ({"mc": {"trials": "many"}}, "mc.trials"),
         ({"mc": {"trials": None}}, "mc.trials"),
         ({"mc": {"seed": 1.5}}, "mc.seed"),
@@ -259,7 +331,7 @@ class TestOtherSubcommands:
                        {"preset": "indoor_1", "copies": 4}]},
          "branches[1].copies"),
     ], ids=["g_not_a_number", "grid_not_a_number", "link_not_a_number",
-            "link_noise_setting",
+            "link_noise_setting", "link_normalized_not_a_bool",
             "trials_not_a_number", "trials_null", "seed_not_integral",
             "grid_overflow", "grid_too_long", "copies_not_integral",
             "copies_too_many", "branches_too_many"])
