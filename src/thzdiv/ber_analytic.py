@@ -12,7 +12,6 @@ value, with kappa2 the diversity exponent of BER ~ kappa1 * Upsilon^-kappa2.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -29,7 +28,7 @@ from .mg_laplace import (
     snr_pdf_mg,
 )
 from .specfun import FoxHParams, _nested_trapezoid, fox_h, q_function
-from .sum_dist import MixtureNodes
+from .sum_dist import MixtureNodes, _leading_terms
 
 __all__ = [
     "AsymptoteSource",
@@ -44,7 +43,7 @@ __all__ = [
 
 _SQRT_PI = math.sqrt(math.pi)
 
-# Most component index tuples ber_mg_asymptote enumerates in full.
+# Most component index tuples the full ber_mg_asymptote sum enumerates.
 _TERM_CAP = 10**6
 
 # The tanh-sinh theta rule of ber_mg_mgf.
@@ -123,25 +122,33 @@ def _ln_kappa1(ln_c0, phi, g):
             - phi * np.log(g))
 
 
+def _law(branches, nu: float, upsilon, g: float, source: AsymptoteSource,
+         dominant_only: bool = True):
+    """(value, AsymptoteLaw) from the sum density's small-y terms.
+
+    kappa2 is the smallest phi of sum_dist._leading_terms and kappa1 sums the
+    coefficients of the tuples attaining it.  ``dominant_only`` returns
+    kappa1 Upsilon^-kappa2, otherwise the value sums every tuple's term.
+    """
+    ln_c0, phi = _leading_terms(branches, nu, dominant_only)
+    ln_coefs = _ln_kappa1(ln_c0, phi, g)
+    kappa2 = float(phi.min())
+    lead = np.isclose(phi, kappa2, rtol=0.0, atol=1e-9)
+    law = AsymptoteLaw(kappa1=float(np.exp(ln_coefs[lead]).sum()),
+                       kappa2=kappa2, source=source)
+    u = np.asarray(upsilon, dtype=float)
+    if dominant_only:
+        return law(u), law
+    ln_u = np.log(np.atleast_1d(u))[:, None]
+    value = np.exp(ln_coefs - phi * ln_u).sum(axis=1)
+    return (float(value[0]) if u.ndim == 0 else value), law
+
+
 def ber_alpha_mu_iid_asymptote(model: AlphaMuA, nu: float, l_branches: int,
                                upsilon, g: float = 0.5):
-    """High-SNR BER for L i.i.d. alpha-mu (form A) branches.
-
-    kappa2 = phi0 = (alpha/2) mu L.  The sum density starts as
-    C y^(phi0-1)/Gamma(phi0) (checked against the Rayleigh closed form and
-    the quadrature oracle).
-    """
-    if l_branches < 1:
-        raise DomainError("l_branches must be >= 1")
-    ab, m = model.alpha / 2.0, model.mu
-    z_bar = (model.z_hat * nu) ** 2
-    phi0 = ab * m * l_branches
-    ln_c = l_branches * (math.log(ab) + m * math.log(m) + sp.gammaln(ab * m)
-                         - sp.gammaln(m) - ab * m * math.log(z_bar))
-    law = AsymptoteLaw(
-        kappa1=math.exp(_ln_kappa1(ln_c - sp.gammaln(phi0), phi0, g)),
-        kappa2=phi0, source=AsymptoteSource.ALPHA_MU_IID)
-    return law(upsilon), law
+    """High-SNR BER of L i.i.d. form-A branches; kappa2 = (alpha/2) mu L."""
+    return _law([model] * l_branches, nu, upsilon, g,
+                AsymptoteSource.ALPHA_MU_IID)
 
 
 def _eq23_foxh_params(nodes: MixtureNodes) -> FoxHParams:
@@ -177,16 +184,9 @@ def ber_alpha_mu_gen_foxh(nodes: MixtureNodes, upsilon: float,
     return total
 
 
-def ber_alpha_mu_gen_asymptote(nodes: MixtureNodes, upsilon, g: float = 0.5):
-    """High-SNR BER of the form-B sum; kappa2 = (alpha/2) sum_j mu_j.
-
-    The mixture density starts as (sum_m Lambda_m) y^(alpha_bar mu_bar - 1).
-    """
-    am = nodes.alpha_bar * nodes.mu_bar
-    ln_k1 = _ln_kappa1(math.log(nodes.lambdas.sum()), am, g)
-    law = AsymptoteLaw(kappa1=math.exp(ln_k1), kappa2=am,
-                       source=AsymptoteSource.ALPHA_MU_GEN)
-    return law(upsilon), law
+def ber_alpha_mu_gen_asymptote(branches, nu: float, upsilon, g: float = 0.5):
+    """High-SNR BER of the form-B sum; kappa2 = (alpha/2) sum_j mu_j."""
+    return _law(branches, nu, upsilon, g, AsymptoteSource.ALPHA_MU_GEN)
 
 
 def ber_mg_mgf(branches, nu: float, l_branches: int, upsilon: float,
@@ -232,42 +232,19 @@ def ber_mg_asymptote(branches, nu: float, upsilon, g: float = 1.0,
                      dominant_only: bool = False):
     """High-SNR BER for L MG branches (identical branches allowed).
 
-    Enumerates every component index tuple (n_1..n_L).  A tuple's sum
-    density starts as c0 y^(phi-1), phi = sum beta / 2, with
-    c0 = prod_l [alpha Gamma(beta/2) / (2 nu^beta)] / Gamma(phi).
-    kappa2 is the minimal phi; kappa1 sums the coefficients of all tuples
-    attaining it.  ``dominant_only`` returns kappa1 Upsilon^-kappa2.
+    A component index tuple's sum density starts as c0 y^(phi-1) with
+    phi = sum beta / 2.  The full sum enumerates every tuple (at most
+    _TERM_CAP); ``dominant_only`` enumerates only those of each branch's
+    smallest-beta components and returns kappa1 Upsilon^-kappa2.
     """
     branches = list(branches)
-    if not branches:
-        raise DomainError("need at least one branch")
     if not all(isinstance(b, MixtureGamma) for b in branches):
         raise DomainError("ber_mg_asymptote expects MixtureGamma branches")
     n_terms = math.prod(b.n_components for b in branches)
-    if n_terms > _TERM_CAP:
+    if n_terms > _TERM_CAP and not dominant_only:
         raise EvaluationError(
             f"{n_terms} index tuples exceed the cap {_TERM_CAP}; "
             "use dominant_only=True")
-
-    ln_c0 = functools.reduce(np.add.outer, [
-        np.log(b.alphas) - math.log(2.0) - b.shapes * math.log(nu)
-        + sp.gammaln(b.shapes / 2.0) for b in branches]).ravel()
-    exps = functools.reduce(np.add.outer,
-                            [b.shapes for b in branches]).ravel() / 2.0
-    ln_coefs = _ln_kappa1(ln_c0 - sp.gammaln(exps), exps, g)
-
-    kappa2 = float(exps.min())
-    lead = np.isclose(exps, kappa2, rtol=0.0, atol=1e-9)
-    kappa1 = float(np.exp(ln_coefs[lead]).sum())
     iid = all(b is branches[0] or b == branches[0] for b in branches)
-    law = AsymptoteLaw(kappa1=kappa1, kappa2=kappa2,
-                       source=AsymptoteSource.MG_IID if iid
-                       else AsymptoteSource.MG_INID)
-    u = np.asarray(upsilon, dtype=float)
-    if dominant_only:
-        return law(u), law
-    value = np.sum(np.exp(ln_coefs[None, ...]
-                          - exps[None, ...] * np.log(np.atleast_1d(u))[:, None]),
-                   axis=1)
-    value = float(value[0]) if u.ndim == 0 else value
-    return value, law
+    return _law(branches, nu, upsilon, g, AsymptoteSource.MG_IID if iid
+                else AsymptoteSource.MG_INID, dominant_only)

@@ -257,28 +257,35 @@ def envelope_pdf(model: BranchModel, y):
         math.exp(lncoef), e)
 
 
+def _power_leading_terms(model: BranchModel, nu: float):
+    """(ln k, phi) arrays of power_pdf's small-y terms k y^(phi-1): one per
+    MG component (phi = beta/2), one per alpha-mu branch (phi = alpha mu/2).
+    """
+    if isinstance(model, MixtureGamma):
+        b = model.shapes
+        return np.log(model.alphas) - math.log(2.0) - b * math.log(nu), 0.5 * b
+    # |h| = nu |h_f| is alpha-mu with scale nu * s, and y = |h|^2.
+    sc, a, m = nu * _alpha_mu_scale(model), model.alpha, model.mu
+    lnk = math.log(a) - a * m * math.log(sc) - sp.gammaln(m) - math.log(2.0)
+    return np.array([lnk]), np.array([0.5 * a * m])
+
+
 def power_pdf(model: BranchModel, nu: float, y):
     """PDF of the scaled channel power |h|^2 = (nu |h_f|)^2 at y >= 0."""
     if nu <= 0:
         raise DomainError("power_pdf requires nu > 0")
+    lnk, phi = _power_leading_terms(model, nu)
     if isinstance(model, MixtureGamma):
-        al, b, z = model.alphas, model.shapes, model.rates
-        lncoef = np.log(al) - b * math.log(nu) - math.log(2.0)
-        e = 0.5 * b - 1.0
+        tail = lambda x: (model.rates / nu) * np.sqrt(x)
+    else:
+        sc, a = nu * _alpha_mu_scale(model), model.alpha
+        tail = lambda x: (np.sqrt(x) / sc) ** a
 
-        def f(x):
-            x = x[:, None]
-            return np.sum(np.exp(lncoef + e * np.log(x) - (z / nu) * np.sqrt(x)), axis=1)
+    def f(x):
+        x = x[:, None]
+        return np.sum(np.exp(lnk + (phi - 1.0) * np.log(x) - tail(x)), axis=1)
 
-        return _eval_pointwise(y, f, np.exp(lncoef), e)
-
-    # |h| = nu |h_f| is alpha-mu with scale nu * s, and y = |h|^2.
-    sc, a, m = nu * _alpha_mu_scale(model), model.alpha, model.mu
-    lncoef = math.log(a) - a * m * math.log(sc) - sp.gammaln(m) - math.log(2.0)
-    e = 0.5 * a * m - 1.0
-    return _eval_pointwise(
-        y, lambda x: np.exp(lncoef + e * np.log(x) - (np.sqrt(x) / sc) ** a),
-        math.exp(lncoef), e)
+    return _eval_pointwise(y, f, np.exp(lnk), phi - 1.0)
 
 
 def envelope_moment(model: BranchModel, nu: float, k: float) -> float:

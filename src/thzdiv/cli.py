@@ -238,8 +238,11 @@ def load_scenario(path: str):
     mc = {
         "trials": _number(mc_node, "trials", "mc", default=1_000_000, kind=int),
         "seed": _number(mc_node, "seed", "mc", default=0, kind=int),
-        "method": str(_pop(mc_node, "method", "mc", default="conditional_q")),
+        "method": _pop(mc_node, "method", "mc", default="conditional_q"),
     }
+    if mc["method"] not in ("conditional_q", "bit_level"):
+        raise ScenarioError("mc.method: expected 'conditional_q' or "
+                            f"'bit_level', got {mc['method']!r}")
     _reject_unknown(mc_node, "mc")
     _reject_unknown(doc, "scenario")
     try:
@@ -309,8 +312,7 @@ def _compute_curve(scenario: Scenario, method: str, mc: dict) -> BerCurve:
         bers, law = ber_alpha_mu_iid_asymptote(branches[0], nu, len(branches),
                                                grid, g=g)
     elif method == "asymptotic" and fam == "alpha_mu_b":
-        bers, law = ber_alpha_mu_gen_asymptote(_mixture(scenario, meta), grid,
-                                               g=g)
+        bers, law = ber_alpha_mu_gen_asymptote(branches, nu, grid, g=g)
     elif method == "asymptotic":
         bers, law = ber_mg_asymptote(branches, nu, grid, g=g,
                                      dominant_only=True)
@@ -362,6 +364,8 @@ def read_curve_csv(path: str) -> BerCurve:
 
 def _cmd_pdf(args) -> int:
     scenario, _, _ = load_scenario(args.scenario)
+    if args.envelope and args.branch is None:
+        raise DomainError("--envelope: requires --branch")
     if args.branch is not None and not 0 <= args.branch < scenario.l_branches:
         raise DomainError(f"--branch: expected 0 <= branch < "
                           f"{scenario.l_branches}, got {args.branch}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import mpmath as mp
 import numpy as np
@@ -24,7 +24,8 @@ from scipy import linalg as sla
 from scipy import optimize
 from scipy import special as sp
 
-from .channel_models import AlphaMuA, AlphaMuB, _eval_pointwise, envelope_moment
+from .channel_models import (AlphaMuA, AlphaMuB, _eval_pointwise,
+                             _power_leading_terms, envelope_moment)
 from .errors import AccuracyError, DomainError, EvaluationError
 
 __all__ = [
@@ -329,25 +330,37 @@ def _gauss_from_moments(M: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return weights, nodes
 
 
+def _leading_terms(branches, nu: float, dominant: bool = False):
+    """(ln c0, phi) of the sum density's small-y terms c0 y^(phi-1).
+
+    One term per index tuple of the branches' terms k y^(phi-1): their
+    Laplace transforms k Gamma(phi) s^-phi multiply, so c0 = prod k
+    Gamma(phi) / Gamma(sum phi).  ``dominant`` keeps each branch's terms
+    within 1e-9 of its smallest phi, and so every tuple near the smallest sum.
+    """
+    terms = [_power_leading_terms(b, nu) for b in branches]
+    if not terms:
+        raise DomainError("need at least one branch")
+    if dominant:
+        terms = [(lnk[phi <= phi.min() + 1e-9], phi[phi <= phi.min() + 1e-9])
+                 for lnk, phi in terms]
+    ln_c = reduce(np.add.outer,
+                  [lnk + sp.gammaln(phi) for lnk, phi in terms]).ravel()
+    phi = reduce(np.add.outer, [phi for _, phi in terms]).ravel()
+    return ln_c - sp.gammaln(phi), phi
+
+
 def _leading_coefficient_target(branches, nu: float, alpha_bar: float,
                                 mu_bar: float, beta_bar: float,
                                 z_bar: float) -> float:
     """Target for Sum_m c_m omega_m^{-a*mu_bar} from small-y matching.
 
-    The exact sum density behaves like C0 * y^{a*mu_bar - 1} with
-    C0 = prod_i [k_i Gamma(a*mu_i)] / Gamma(a*mu_bar), k_i the leading
-    coefficient of branch i's power density.
+    The exact sum density behaves like C0 * y^{a*mu_bar - 1} (_leading_terms).
     """
-    ln_c0 = -sp.gammaln(alpha_bar * mu_bar)
-    for b in branches:
-        ln_ki = (math.log(alpha_bar)
-                 + 2.0 * alpha_bar * b.mu * math.log(b.beta_param / (b.x_mean * nu))
-                 - sp.gammaln(b.mu))
-        ln_c0 += ln_ki + sp.gammaln(alpha_bar * b.mu)
+    (ln_c0,), _ = _leading_terms(branches, nu)
     am = alpha_bar * mu_bar
-    ln_target = (ln_c0 + am * math.log(z_bar) + sp.gammaln(mu_bar)
-                 - math.log(alpha_bar) - am * math.log(beta_bar))
-    return math.exp(ln_target)
+    return math.exp(ln_c0 + am * math.log(z_bar) + sp.gammaln(mu_bar)
+                    - math.log(alpha_bar) - am * math.log(beta_bar))
 
 
 def _mixture_residual(u, e, rhs):

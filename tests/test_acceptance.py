@@ -321,7 +321,8 @@ def test_criterion_6_asymptote_convergence():
             lambda u: ber_exact_quadrature(
                 lambda y: inid_sum_power_pdf(nodes, y), u, g=0.5),
             lambda u: float(np.atleast_1d(
-                ber_alpha_mu_gen_asymptote(nodes, u)[0])[0]),
+                ber_alpha_mu_gen_asymptote(
+                    [alpha_mu_b_preset("indoor_1")] * 2, 1.0, u)[0])[0]),
             -10.0, 50.0)
     run_law("MG iid",
             lambda u: ber_mg_mgf([MG_CFGS[0]] * 2, 1.0, 2, u, g=1.0),

@@ -216,15 +216,17 @@ class TestFormBFoxH:
         assert ber_alpha_mu_gen_foxh(nodes, 40.0, g=g) == pytest.approx(
             p_q, rel=1e-8)
 
-    def test_asymptote_law(self, nodes):
-        _, law = ber_alpha_mu_gen_asymptote(nodes, 100.0)
+    def test_asymptote_law(self):
+        _, law = ber_alpha_mu_gen_asymptote(
+            [alpha_mu_b_preset("indoor_1")] * 2, 1.0, 100.0)
         assert law.kappa2 == pytest.approx(1.7812004548, abs=1e-9)
         assert law.kappa1 == pytest.approx(0.193843558, rel=1e-6)
         assert law.source is AsymptoteSource.ALPHA_MU_GEN
 
     def test_asymptote_converges(self, nodes):
         exact = ber_alpha_mu_gen_foxh(nodes, 3e4)
-        asym = float(np.atleast_1d(ber_alpha_mu_gen_asymptote(nodes, 3e4)[0])[0])
+        asym = float(np.atleast_1d(ber_alpha_mu_gen_asymptote(
+            [alpha_mu_b_preset("indoor_1")] * 2, 1.0, 3e4)[0])[0])
         assert asym / exact == pytest.approx(1.0, abs=2e-3)
 
 
@@ -368,13 +370,13 @@ class TestMgAsymptote:
 class TestAsymptoteLaw:
     @pytest.mark.parametrize("route", ["form_a", "form_b", "mg"])
     @pytest.mark.parametrize("g", [0.25, 1.0, 3.0])
-    def test_kappa1_scales_with_g(self, nodes, route, g):
+    def test_kappa1_scales_with_g(self, route, g):
         # Q(sqrt(2 g Upsilon y)) makes Upsilon and g enter as a product.
         law_at = {
             "form_a": lambda g: ber_alpha_mu_iid_asymptote(
                 alpha_mu_a_preset("indoor_1"), 1.0, 2, 1.0, g=g)[1],
-            "form_b": lambda g: ber_alpha_mu_gen_asymptote(nodes, 1.0,
-                                                           g=g)[1],
+            "form_b": lambda g: ber_alpha_mu_gen_asymptote(
+                [alpha_mu_b_preset("indoor_1")] * 2, 1.0, 1.0, g=g)[1],
             "mg": lambda g: ber_mg_asymptote(
                 [mg_preset("mg_config1"), mg_preset("mg_config3")], 1.0, 1.0,
                 g=g)[1],
@@ -383,6 +385,47 @@ class TestAsymptoteLaw:
         assert law.kappa2 == half.kappa2
         assert law.kappa1 == pytest.approx(
             half.kappa1 * (2.0 * g) ** -half.kappa2, rel=1e-13)
+
+
+class TestLeadingTermOracles:
+    """The one leading-term law against the formulas it replaced."""
+
+    @pytest.mark.parametrize("preset,x_means", [
+        ("indoor_1", (0.8, 1.25)),
+        ("indoor_1", (0.8, 1.0, 1.25)),
+        ("indoor_1", (0.8, 0.9, 1.1, 1.25)),
+        ("indoor_2", (0.5, 2.0)),
+    ])
+    def test_form_b_law_equals_the_mixture_law(self, preset, x_means):
+        # The fitted mixture density starts as (sum_m Lambda_m)
+        # y^(alpha_bar mu_bar - 1); its solve pins that coefficient.
+        branches = [alpha_mu_b_preset(preset, x_mean=x) for x in x_means]
+        nodes = solve_mixture_nodes(branches, 1.0)
+        am = nodes.alpha_bar * nodes.mu_bar
+        kappa1 = math.exp(ber_analytic._ln_kappa1(
+            math.log(nodes.lambdas.sum()), am, 0.5))
+        _, law = ber_alpha_mu_gen_asymptote(branches, 1.0, 1.0)
+        assert law.kappa1 == pytest.approx(kappa1, rel=1e-9, abs=0.0)
+        assert law.kappa2 == pytest.approx(am, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("l_branches", [1, 2, 3, 4])
+    def test_form_a_law_equals_the_series_prefactor(self, l_branches):
+        # The delta series starts as exp(ln_prefactor) coeffs[0] y^(phi0-1).
+        model = alpha_mu_a_preset("indoor_1")
+        s = IidAlphaMuSum.build(model, 1.0, l_branches)
+        kappa1 = math.exp(ber_analytic._ln_kappa1(
+            s.ln_prefactor + math.log(s.coeffs[0]), s.phi0, 0.5))
+        _, law = ber_alpha_mu_iid_asymptote(model, 1.0, l_branches, 1.0)
+        assert law.kappa1 == pytest.approx(kappa1, rel=1e-13, abs=0.0)
+        assert law.kappa2 == s.phi0
+
+    def test_mg_dominant_law_equals_the_full_sum_law(self):
+        branches = [mg_preset(f"mg_config{i}") for i in (1, 2, 3)]
+        u = np.array([1.0, 1e2, 1e4])
+        dom, dom_law = ber_mg_asymptote(branches, 1.0, u, dominant_only=True)
+        full, full_law = ber_mg_asymptote(branches, 1.0, u)
+        assert dom_law == full_law
+        assert full == pytest.approx(dom, rel=1e-12, abs=0.0)
 
 
 class TestHelpers:

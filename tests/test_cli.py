@@ -225,8 +225,10 @@ class TestOtherSubcommands:
         (["--points", "10001"], "--points"),
         (["--ymin", "5", "--ymax", "1"], "--ymin"),
         (["--ymax", "inf"], "--ymin"),
+        (["--envelope"], "--envelope"),
     ], ids=["branch_too_large", "branch_negative", "points_negative",
-            "points_too_many", "range_backwards", "range_infinite"])
+            "points_too_many", "range_backwards", "range_infinite",
+            "envelope_without_branch"])
     def test_pdf_rejects_bad_arguments(self, tmp_path, capsys, args, flag):
         out = tmp_path / "pdf.csv"
         rc = main(["pdf", "--scenario", write_scn(tmp_path, SCN_A),
@@ -321,6 +323,7 @@ class TestOtherSubcommands:
         ({"mc": {"trials": "many"}}, "mc.trials"),
         ({"mc": {"trials": None}}, "mc.trials"),
         ({"mc": {"seed": 1.5}}, "mc.seed"),
+        ({"mc": {"method": "foo"}}, "mc.method"),
         ({"snr_db": {"start": 0, "stop": 1e300, "step": 1e-300}}, "snr_db"),
         ({"snr_db": {"start": 0, "stop": 10000, "step": 1}}, "snr_db"),
         ({"branches": [{"preset": "indoor_1", "copies": 2.7}]},
@@ -333,6 +336,7 @@ class TestOtherSubcommands:
     ], ids=["g_not_a_number", "grid_not_a_number", "link_not_a_number",
             "link_noise_setting", "link_normalized_not_a_bool",
             "trials_not_a_number", "trials_null", "seed_not_integral",
+            "mc_method_unknown",
             "grid_overflow", "grid_too_long", "copies_not_integral",
             "copies_too_many", "branches_too_many"])
     def test_malformed_scenario_field_is_a_scenario_error(
@@ -379,8 +383,26 @@ class TestOtherSubcommands:
         sidecar = (tmp_path / "r1.csv.json").read_bytes()
         assert sidecar == (tmp_path / "r2.csv.json").read_bytes()
         meta = json.loads(sidecar)["metadata"]
-        assert meta["mixture_psi"] == 4
-        assert 0.0 <= meta["mixture_residual"] <= 1e-7
+        if method == "asymptotic":
+            # The law comes from the branches' leading terms, not the fit.
+            assert not [k for k in meta if k.startswith("mixture_")]
+        else:
+            assert meta["mixture_psi"] == 4
+            assert 0.0 <= meta["mixture_residual"] <= 1e-7
+
+    def test_dominant_law_of_many_mg_tuples(self, tmp_path):
+        # 6^8 index tuples exceed the full sum's cap; the dominant law keeps
+        # one component per branch, beta = 3, so kappa2 = 8 * 3 / 2.
+        comps = [[0.1, 3.0, 0.5], [0.2, 4.0, 0.5], [0.2, 5.0, 0.5],
+                 [0.2, 6.0, 0.5], [0.2, 7.0, 0.5], [0.1, 8.0, 0.5]]
+        doc = dict(SCN_MG, branches=[{"type": "mixture_gamma",
+                                      "components": comps, "copies": 8}])
+        out = tmp_path / "o.csv"
+        assert main(["ber", "--scenario", write_scn(tmp_path, doc),
+                     "--method", "asymptotic", "--out", str(out)]) == 0
+        rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+        assert {float(r[6]) for r in rows} == {12.0}
+        assert all(float(r[2]) > 0.0 for r in rows)
 
     def test_verify_passes(self, capsys):
         assert main(["verify"]) == 0
