@@ -46,6 +46,9 @@ _SQRT_PI = math.sqrt(math.pi)
 # Most component index tuples the full ber_mg_asymptote sum enumerates.
 _TERM_CAP = 10**6
 
+# Node rows per block of ber_exact_quadrature's Q table.
+_Q_ROWS = 32
+
 # The tanh-sinh theta rule of ber_mg_mgf.
 _T_HALF = 3.0     # t in [-3, 3]: theta within 3.3e-14 of 0 and of pi/2
 _T_STEP = 0.5     # first step: 12 intervals, 13 nodes
@@ -100,9 +103,12 @@ def ber_exact_quadrature(sum_pdf, upsilon, g: float = 0.5):
         keep = x < x_q
         w[keep] = sum_pdf(x[keep]) * x[keep] * 0.5 * math.pi * np.cosh(t[keep])
         out = np.zeros((x.size, u.size))
-        keep = w != 0.0
-        out[keep] = w[keep, None] * q_function(
-            np.sqrt(np.outer(x[keep], 2.0 * g * u)))
+        # A few dozen rows at a time bound q_function's temporaries.
+        rows = np.flatnonzero(w)
+        for i in range(0, rows.size, _Q_ROWS):
+            r = rows[i:i + _Q_ROWS]
+            out[r] = w[r, None] * q_function(
+                np.sqrt(np.outer(x[r], 2.0 * g * u)))
         return out
 
     # t in [-4.5, 4.5] spans x_c e^(+-70.7); at most 8 halvings of 18 steps.

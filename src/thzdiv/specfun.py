@@ -34,9 +34,18 @@ def q_function(x):
     underflow prematurely (finite down to x ~ 38).
     """
     x = np.asarray(x, dtype=float)
-    pos = 0.5 * sp.erfcx(np.abs(x) / _SQRT2) * np.exp(-0.5 * x * x)
-    out = np.where(x >= 0.0, pos, 1.0 - pos)
-    return float(out) if out.ndim == 0 else out
+    # In place, in the order of 0.5 * erfcx(|x|/sqrt2) * exp(-0.5 * x * x):
+    # two buffers of x's size rather than ten.
+    pos = np.abs(x, out=np.empty_like(x))
+    pos /= _SQRT2
+    sp.erfcx(pos, out=pos)
+    pos *= 0.5
+    tail = np.multiply(x, -0.5, out=np.empty_like(x))
+    tail *= x
+    pos *= np.exp(tail, out=tail)
+    neg = x < 0.0
+    pos[neg] = 1.0 - pos[neg]
+    return float(pos) if pos.ndim == 0 else pos
 
 
 @dataclass(frozen=True)

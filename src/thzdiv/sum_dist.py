@@ -5,10 +5,10 @@ Three representations are provided:
 * the exact series for the sum of i.i.d. alpha-mu powers (delta-coefficient
   recursion), evaluated adaptively with a high-precision fallback where the
   alternating series cancels catastrophically in float64;
-* a Psi-node mixture approximation for the i.n.i.d. alpha-mu (form B) sum,
-  built by the classical Gaussian-quadrature-from-moments construction and
-  refined by a log-space Levenberg-Marquardt solve with an analytic Jacobian
-  that enforces the exact small-argument leading coefficient;
+* a Psi-node mixture approximation for the i.n.i.d. alpha-mu (form B) sum:
+  the Gauss-Radau rule (Golub 1973) on the normalized sum moments whose
+  prescribed node, a Brent root, meets the exact small-argument leading
+  coefficient;
 * a numerical-convolution oracle used to validate both.
 """
 
@@ -313,21 +313,32 @@ def _normalized_sum_moments(branches, nu: float, count: int,
     return M
 
 
-def _gauss_from_moments(M: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """k-point quadrature (weights, nodes) matching moments M_0..M_{2k-1}."""
+def _jacobi_from_moments(M: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobi matrix (diagonal a, off-diagonal b) of M_0..M_{2k}, read off the
+    Hankel Cholesky factor; the k-point Gauss rule is _quadrature(a, b, M_0)."""
     H = np.array([[M[i + j] for j in range(k + 1)] for i in range(k + 1)])
     R = np.linalg.cholesky(H).T  # raises LinAlgError if not PD
-    alph = np.empty(k)
-    beta = np.empty(k)
-    for j in range(k):
-        alph[j] = R[j, j + 1] / R[j, j]
-        if j > 0:
-            alph[j] -= R[j - 1, j] / R[j - 1, j - 1]
-            beta[j] = R[j, j] / R[j - 1, j - 1]
-    nodes, vecs = sla.eigh_tridiagonal(alph, beta[1:]) if k > 1 else (
-        np.array([alph[0]]), np.array([[1.0]]))
-    weights = M[0] * vecs[0, :] ** 2
-    return weights, nodes
+    d = np.diag(R)
+    a = R[:k, 1:k + 1].diagonal() / d[:k]
+    a[1:] -= R[:k - 1, 1:k].diagonal() / d[:k - 1]
+    return a, d[1:k] / d[:k - 1]
+
+
+def _quadrature(a: np.ndarray, b: np.ndarray, m0: float):
+    """(weights, nodes) of the Jacobi matrix tridiag(b, a, b) of mass m0."""
+    nodes, vecs = sla.eigh_tridiagonal(a, b)
+    return m0 * vecs[0] ** 2, nodes
+
+
+def _radau_member(a: np.ndarray, b: np.ndarray, tau: float, m0: float):
+    """The k-node rule with a node at tau matching M_0..M_{2k-2} (Golub 1973):
+    (J_{k-1} - tau I) delta = b_{k-1}^2 e_{k-1}; last diagonal tau + delta."""
+    d = a.copy()
+    d[-1] = tau
+    if b.size:
+        J = np.diag(a[:-1] - tau) + np.diag(b[:-1], 1) + np.diag(b[:-1], -1)
+        d[-1] += np.linalg.solve(J, np.eye(b.size)[-1] * b[-1] ** 2)[-1]
+    return _quadrature(d, b, m0)
 
 
 def _leading_terms(branches, nu: float, dominant: bool = False):
@@ -363,26 +374,14 @@ def _leading_coefficient_target(branches, nu: float, alpha_bar: float,
                     - math.log(alpha_bar) - am * math.log(beta_bar))
 
 
-def _mixture_residual(u, e, rhs):
-    """Sum_m c_m omega_m^e_n - rhs_n at u = [ln c, ln omega]."""
-    k = u.size // 2
-    return np.exp(u[:k] + np.outer(e, u[k:])).sum(axis=1) - rhs
-
-
-def _mixture_jacobian(u, e, rhs):
-    """[T, e T] with T[n, m] = c_m omega_m^e_n: the residual's d/du."""
-    k = u.size // 2
-    T = np.exp(u[:k] + np.outer(e, u[k:]))
-    return np.hstack([T, e[:, None] * T])
-
-
 def solve_mixture_nodes(branches, nu: float, psi: int = 4) -> MixtureNodes:
     """Fit the Psi-node mixture to the i.n.i.d. alpha-mu (form B) sum.
 
-    Initial nodes come from the Hankel/orthogonal-polynomial construction on
-    the normalized sum moments; a Levenberg-Marquardt solve with an analytic
-    Jacobian, in the logs of weights and nodes (which keeps both positive),
-    then trades the highest moment equation for the exact leading coefficient.
+    The Gauss rule of the normalized sum moments matches M_0..M_{2k-1}; every
+    k-node measure matching M_0..M_{2k-2} is the Gauss-Radau rule with one
+    prescribed node tau (Golub 1973), with positive weights.  The exact
+    leading coefficient picks tau: a Brent root of its log gap, bracketed by
+    moving the smallest Gauss node toward 0 or the largest outward.
     """
     if psi < 2:
         raise DomainError("psi must be >= 2")
@@ -412,31 +411,43 @@ def solve_mixture_nodes(branches, nu: float, psi: int = 4) -> MixtureNodes:
                             residual=abs(M[1] ** (-ab * mu_bar) - target)
                             / max(1.0, target))
 
-    # From psi down, a failed Cholesky, a bad Gauss start or a missed gate
-    # each tries one node fewer.
+    # From psi down, a failed Cholesky, a bad Gauss start, no bracket or a
+    # missed gate each tries one node fewer.
+    am = ab * mu_bar
     for k in range(psi, 0, -1):
         try:
-            weights, nodes = _gauss_from_moments(M, k)
+            a, b = _jacobi_from_moments(M, k)
         except np.linalg.LinAlgError:
             continue
+        weights, nodes = _quadrature(a, b, M[0])
         recon = np.array([np.sum(weights * nodes**n) for n in range(2 * k)])
         if not (np.all(nodes > 0) and np.all(weights > 0)
                 and np.max(np.abs(recon - M[: 2 * k])) < 1e-6):
             continue
-        e = np.append(np.arange(2.0 * k - 1.0), -ab * mu_bar)
-        rhs = np.append(M[: 2 * k - 1], target)
-        u0 = np.concatenate([np.log(weights), np.log(nodes)])
-        lm = optimize.least_squares(_mixture_residual, u0,
-                                    jac=_mixture_jacobian, args=(e, rhs),
-                                    method="lm", xtol=1e-14, ftol=1e-14,
-                                    gtol=1e-14, max_nfev=16000)
-        c, w = np.exp(lm.x[:k]), np.exp(lm.x[k:])
-        r = _mixture_residual(lm.x, e, rhs)
+
+        def gap(tau):
+            c, w = _radau_member(a, b, tau, M[0])
+            return math.log(np.sum(c * w ** -am) / target)
+
+        # gap -> +inf as the smallest node falls to 0; moving the largest
+        # node outward lowers it toward the (k-1)-node Gauss rule's value.
+        t, f, step = nodes[0], gap(nodes[0]), 0.5
+        if f >= 0:
+            t, f, step = nodes[-1], gap(nodes[-1]), 2.0
+        for _ in range(60):
+            t1, f1 = t * step, gap(t * step)
+            if (f1 >= 0) != (f >= 0):
+                break
+            t, f = t1, f1
+        else:
+            continue
+        tau = optimize.brentq(gap, min(t, t1), max(t, t1), xtol=1e-300)
+        c, w = _radau_member(a, b, tau, M[0])
+        r = np.append([np.sum(c * w**n) for n in range(2 * k - 1)],
+                      np.sum(c * w ** -am)) - np.append(M[: 2 * k - 1], target)
         res = float(np.max(np.abs(r)) / max(1.0, abs(target)))
         if res <= 1e-7 and np.all(w > 0):
-            order = np.argsort(w)
-            return MixtureNodes(psi=k, nodes=tuple((float(c[i]), float(w[i]))
-                                                   for i in order),
+            return MixtureNodes(psi=k, nodes=tuple(zip(c.tolist(), w.tolist())),
                                 alpha_bar=ab, mu_bar=mu_bar, beta_bar=beta_bar,
                                 z_bar=z_bar, residual=res)
     raise EvaluationError(

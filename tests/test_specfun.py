@@ -43,6 +43,22 @@ class TestScalarWrappers:
         assert out.shape == (3,)
         assert out[1] == pytest.approx(0.5)
 
+    def test_q_function_bitwise_equals_the_plain_expression(self):
+        x = np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan, 1e308,
+                             -1e308], np.linspace(-40.0, 40.0, 4001),
+                            np.geomspace(1e-300, 1e300, 601)])
+        x = np.concatenate([x, -x[7:]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            pos = 0.5 * sp.erfcx(np.abs(x) / math.sqrt(2.0)) * np.exp(
+                -0.5 * x * x)
+            ref = np.where(x >= 0.0, pos, 1.0 - pos)
+            out = q_function(x)
+            scalars = np.array([q_function(float(v)) for v in x])
+        assert out.dtype == np.float64 and out.shape == x.shape
+        assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+        assert np.array_equal(scalars.view(np.uint64), ref.view(np.uint64))
+        assert type(q_function(1.0)) is float
+
 
 class TestFoxHClosedForms:
     @pytest.mark.parametrize("z", [0.05, 0.4, 1.0, 3.0, 12.0])

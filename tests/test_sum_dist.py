@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, optimize
+from scipy import integrate
 
+from thzdiv import sum_dist
 from thzdiv.ber_analytic import ber_alpha_mu_gen_foxh
 from thzdiv.channel_models import (
     AlphaMuA,
@@ -20,11 +21,10 @@ from thzdiv.channel_models import (
 from thzdiv.errors import DomainError
 from thzdiv.sum_dist import (
     IidAlphaMuSum,
-    _gauss_from_moments,
-    _leading_coefficient_target,
-    _mixture_jacobian,
-    _mixture_residual,
+    _jacobi_from_moments,
     _normalized_sum_moments,
+    _quadrature,
+    _radau_member,
     _series_mp,
     convolution_oracle,
     iid_sum_power_pdf,
@@ -162,13 +162,40 @@ class TestMixtureNodes:
                                  0.0, np.inf, limit=300)
         assert mass == pytest.approx(1.0, abs=1e-4)
 
-    def test_missed_gate_tries_a_smaller_psi(self):
-        # Six nodes leave a residual of 3.6e-7 here; five meet the gate.
-        branches = [AlphaMuB(alpha=2.0, mu=m, x_mean=x) for m, x in zip(
-            (1.3, 0.95, 0.62, 0.87, 1.57), (0.8, 1.05, 0.51, 1.75, 0.73))]
-        nodes = solve_mixture_nodes(branches, nu=1.0, psi=6)
+    STEP_DOWN = [AlphaMuB(alpha=2.0, mu=m, x_mean=x) for m, x in zip(
+        (1.3, 0.95, 0.62, 0.87, 1.57), (0.8, 1.05, 0.51, 1.75, 0.73))]
+
+    def test_missed_gate_tries_a_smaller_psi(self, monkeypatch):
+        # The Radau root meets this system with six nodes to 5.0e-13.
+        nodes = solve_mixture_nodes(self.STEP_DOWN, nu=1.0, psi=6)
+        assert nodes.psi == 6
+        assert nodes.residual <= 1e-12
+        # Six-node members whose mass is 1e-6 off still hold a root but miss
+        # the 1e-7 gate on M_0, so the solve must step down to five nodes.
+        member = sum_dist._radau_member
+
+        def heavy_at_six(a, b, tau, m0):
+            c, w = member(a, b, tau, m0)
+            return (c * (1.0 + 1e-6) if a.size == 6 else c), w
+
+        monkeypatch.setattr(sum_dist, "_radau_member", heavy_at_six)
+        nodes = solve_mixture_nodes(self.STEP_DOWN, nu=1.0, psi=6)
         assert nodes.psi == 5
-        assert nodes.residual <= 1e-7
+        assert nodes.residual <= 1e-12
+
+    def test_missed_bracket_tries_a_smaller_psi(self, monkeypatch):
+        # A six-node family whose members all equal the Gauss rule holds no
+        # root, so the solve must step down to five nodes.
+        member = sum_dist._radau_member
+
+        def no_root_at_six(a, b, tau, m0):
+            return _quadrature(a, b, m0) if a.size == 6 else member(
+                a, b, tau, m0)
+
+        monkeypatch.setattr(sum_dist, "_radau_member", no_root_at_six)
+        nodes = solve_mixture_nodes(self.STEP_DOWN, nu=1.0, psi=6)
+        assert nodes.psi == 5
+        assert nodes.residual <= 1e-12
 
 
 class TestMixtureSolveProperty:
@@ -185,55 +212,83 @@ class TestMixtureSolveProperty:
         assert np.all(np.diff(bers) < 0.0)
 
 
-class TestMixtureJacobian:
-    """The analytic Jacobian of the log-space moment system."""
+class TestRadauMember:
+    """The Gauss-Radau family on the normalised moments of a form-B sum."""
 
     BRANCHES = [alpha_mu_b_preset("indoor_1", x_mean=x)
                 for x in (0.8, 1.0, 1.25)]
 
     @pytest.fixture(scope="class")
-    def system(self):
-        # The solve's normalisation, rebuilt here so that the Gauss start
-        # does not depend on the solve.
+    def moments(self):
+        # The solve's normalisation, rebuilt here so that the moments do
+        # not depend on the solve.
         ab = self.BRANCHES[0].alpha / 2.0
         mb = sum(b.mu for b in self.BRANCHES)
         bb = math.exp(math.lgamma(mb + 1.0 / ab) - math.lgamma(mb))
         zb = sum(b.x_mean**2 for b in self.BRANCHES)
-        k = 4
-        M = _normalized_sum_moments(self.BRANCHES, 1.0, 2 * k + 1, mb, ab, bb,
-                                    zb)
-        target = _leading_coefficient_target(self.BRANCHES, 1.0, ab, mb, bb,
-                                             zb)
-        e = np.append(np.arange(2.0 * k - 1.0), -ab * mb)
-        rhs = np.append(M[: 2 * k - 1], target)
-        c0, w0 = _gauss_from_moments(M, k)
-        return e, rhs, np.concatenate([np.log(c0), np.log(w0)])
-
-    @pytest.fixture(scope="class")
-    def solution(self):
-        nodes = solve_mixture_nodes(self.BRANCHES, nu=1.0)
-        assert nodes.psi == 4
-        return np.concatenate([np.log(nodes.weights), np.log(nodes.omegas)])
+        return _normalized_sum_moments(self.BRANCHES, 1.0, 13, mb, ab, bb, zb)
 
     @staticmethod
-    def assert_matches_central_differences(u, e, rhs):
-        h = 1e-5
-        # The mean of a forward and a backward difference is the central one.
-        fd = 0.5 * (optimize.approx_fprime(u, _mixture_residual, h, e, rhs)
-                    + optimize.approx_fprime(u, _mixture_residual, -h, e, rhs))
-        np.testing.assert_allclose(_mixture_jacobian(u, e, rhs), fd,
-                                   rtol=1e-6, atol=0.0)
+    def gauss(M, k):
+        # The Hankel Cholesky succeeds here for every k up to 6.
+        a, b = _jacobi_from_moments(M, k)
+        return a, b, _quadrature(a, b, M[0])
 
-    def test_at_gauss_start(self, system):
-        e, rhs, start = system
-        self.assert_matches_central_differences(start, e, rhs)
+    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_member_matches_moments_and_holds_tau(self, moments, k, side):
+        a, b, (_, nodes) = self.gauss(moments, k)
+        tau = 0.5 * nodes[0] if side == "below" else 2.0 * nodes[-1]
+        c, w = _radau_member(a, b, tau, moments[0])
+        recon = np.array([np.sum(c * w**n) for n in range(2 * k - 1)])
+        np.testing.assert_allclose(recon, moments[: 2 * k - 1], rtol=1e-12,
+                                   atol=0.0)
+        assert np.min(np.abs(w - tau)) <= 1e-12 * tau
+        assert np.all(c > 0.0)
 
-    def test_at_solution(self, system, solution):
-        e, rhs, _ = system
-        # The solution solves this very system: it passes the solve's gate.
-        res = _mixture_residual(solution, e, rhs)
-        assert np.max(np.abs(res)) / max(1.0, rhs[-1]) <= 1e-7
-        self.assert_matches_central_differences(solution, e, rhs)
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_member_at_a_gauss_node_is_the_gauss_rule(self, moments, k):
+        a, b, (weights, nodes) = self.gauss(moments, k)
+        for tau in (nodes[0], nodes[-1]):
+            c, w = _radau_member(a, b, tau, moments[0])
+            np.testing.assert_allclose(c, weights, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(w, nodes, rtol=1e-12, atol=0.0)
+
+
+def _sweep_systems():
+    """Twelve bench profiles and 48 random common-alpha form-B systems."""
+    profiles = ((0.8, 1.25), (0.8, 1.0, 1.25), (0.8, 0.9, 1.1, 1.25))
+    systems = [[alpha_mu_b_preset(preset, x_mean=scale * x) for x in xs]
+               for preset in ("indoor_1", "indoor_2") for xs in profiles
+               for scale in (0.9, 1.1)]
+    rng = np.random.default_rng(5)
+    for _ in range(48):
+        n = int(rng.integers(2, 6))
+        alpha = float(rng.uniform(1.5, 4.0))
+        mus, xs = rng.uniform(0.5, 3.0, n), rng.uniform(0.5, 2.0, n)
+        systems.append([AlphaMuB(alpha=alpha, mu=float(m), x_mean=float(x))
+                        for m, x in zip(mus, xs)])
+    return systems
+
+
+class TestMixtureSweep:
+    def test_every_system_solves_with_four_nodes(self):
+        # A log-space Levenberg-Marquardt solve of the same systems stopped
+        # above 1e-12 on 14 of them (worst 2.4e-8).
+        for i, branches in enumerate(_sweep_systems()):
+            nodes = solve_mixture_nodes(branches, nu=1.0)
+            assert nodes.psi == 4, i
+            assert nodes.residual <= 1e-12, i
+
+    @pytest.mark.parametrize("snr_db, ber", [(0, 0.04422636269901485),
+                                             (10, 0.00032249159106123256),
+                                             (20, 7.268925591204722e-07)])
+    def test_frozen_foxh_values(self, snr_db, ber):
+        # Values of a Levenberg-Marquardt solve whose residual was 2.2e-16.
+        nodes = solve_mixture_nodes([alpha_mu_b_preset("indoor_1", x_mean=x)
+                                     for x in (0.8, 1.0, 1.25)], nu=1.0)
+        assert ber_alpha_mu_gen_foxh(nodes, 10 ** (snr_db / 10)) == \
+            pytest.approx(ber, rel=1e-12, abs=0.0)
 
 
 class TestConvolutionOracle:
