@@ -73,7 +73,7 @@ class AsymptoteLaw:
     source: AsymptoteSource
 
     def __post_init__(self):
-        if self.kappa1 <= 0 or self.kappa2 <= 0:
+        if not (self.kappa1 > 0 and self.kappa2 > 0):
             raise DomainError("AsymptoteLaw requires kappa1, kappa2 > 0")
 
     def __call__(self, upsilon):

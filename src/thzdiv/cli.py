@@ -55,7 +55,7 @@ from .mg_laplace import (
     laplace_numeric_oracle,
     snr_pdf_mg,
 )
-from .monte_carlo import BerCurve, BerPoint, simulate_mrc_ber
+from .monte_carlo import _MIN_TRIALS, BerCurve, BerPoint, simulate_mrc_ber
 from .sum_dist import (
     IidAlphaMuSum,
     convolution_oracle,
@@ -196,8 +196,14 @@ def _parse_grid(node) -> tuple[float, ...]:
         raise ScenarioError(
             f"snr_db: the grid exceeds {_MAX_GRID_POINTS} points")
     count = int(round(span)) + 1
-    db = [start + step * i for i in range(count)]
-    return tuple(10.0 ** (v / 10.0) for v in db)
+    try:
+        grid = tuple(10.0 ** ((start + step * i) / 10.0) for i in range(count))
+    except OverflowError:
+        grid = (math.inf,)
+    if not (grid[0] > 0.0 and grid[-1] < math.inf):
+        raise ScenarioError("snr_db: Upsilon = 10^(dB/10) must be a finite "
+                            f"positive float over [{start:g}, {stop:g}] dB")
+    return grid
 
 
 def load_scenario(path: str):
@@ -240,6 +246,12 @@ def load_scenario(path: str):
         "seed": _number(mc_node, "seed", "mc", default=0, kind=int),
         "method": _pop(mc_node, "method", "mc", default="conditional_q"),
     }
+    if mc["trials"] < _MIN_TRIALS:
+        raise ScenarioError(f"mc.trials: expected at least {_MIN_TRIALS}, "
+                            f"got {mc['trials']}")
+    if mc["seed"] < 0:
+        raise ScenarioError("mc.seed: expected a non-negative integer, "
+                            f"got {mc['seed']}")
     if mc["method"] not in ("conditional_q", "bit_level"):
         raise ScenarioError("mc.method: expected 'conditional_q' or "
                             f"'bit_level', got {mc['method']!r}")
@@ -409,6 +421,13 @@ def _cmd_ber(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    kappa2 = args.theory_kappa2
+    if kappa2 is not None and not 0.0 < kappa2 < math.inf:
+        raise DomainError("--theory-kappa2: expected a finite positive "
+                          f"number, got {kappa2!r}")
+    if not 0.0 <= args.tol < math.inf:
+        raise DomainError("--tol: expected a finite number >= 0, "
+                          f"got {args.tol!r}")
     curve = read_curve_csv(args.csv)
     window = None
     if args.window_lo is not None or args.window_hi is not None:
@@ -416,9 +435,9 @@ def _cmd_fit(args) -> int:
             raise ScenarioError("--window-lo and --window-hi must be given together")
         window = (args.window_lo, args.window_hi)
     report = fit_power_law(curve, window=window)
-    if args.theory_kappa2 is not None:
+    if kappa2 is not None:
         from .ber_analytic import AsymptoteLaw, AsymptoteSource
-        theory = AsymptoteLaw(kappa1=1.0, kappa2=args.theory_kappa2,
+        theory = AsymptoteLaw(kappa1=1.0, kappa2=kappa2,
                               source=AsymptoteSource.FITTED)
         report = compare_to_theory(report, theory, tolerance=args.tol)
     out = {

@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 DEFAULT_CHUNK_SIZE = 1_000_000
+_MIN_TRIALS = 10_000
 _WORKER_ENV = "THZDIV_MAX_WORKERS"
 
 
@@ -144,8 +145,8 @@ def simulate_mrc_ber(scenario: Scenario, trials: int, seed: int,
                      chunk_size: int = DEFAULT_CHUNK_SIZE,
                      max_workers: int | None = None) -> BerCurve:
     """Estimate BER over the scenario's SNR grid; deterministic in (seed, trials)."""
-    if trials < 10_000:
-        raise DomainError("simulate_mrc_ber requires trials >= 1e4")
+    if trials < _MIN_TRIALS:
+        raise DomainError(f"simulate_mrc_ber requires trials >= {_MIN_TRIALS}")
     if method not in ("bit_level", "conditional_q"):
         raise DomainError("method must be 'bit_level' or 'conditional_q'")
     if not scenario.snr_grid:

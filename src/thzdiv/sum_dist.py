@@ -64,20 +64,19 @@ def _series_dps(alpha_bar: float, l_branches: int) -> int:
     return 40 + int(x_max / math.log(10.0))
 
 
-def _delta_mp(alpha_bar: float, mu: float, z_bar: float, l_branches: int,
-              count: int, dps: int) -> list:
-    """delta_0..delta_{count-1} via the printed recursion, in mpmath.
+def _delta_mp(alpha_bar: float, mu: float, l_branches: int, count: int,
+              dps: int) -> list:
+    """delta_0..delta_{count-1} of the series in w = y/z_bar, in mpmath.
 
     The deltas alternate in sign and grow like Gamma(alpha_bar*i), so the
     recursion is run at elevated precision and rounded on output.
     """
     with mp.workdps(dps):
-        ab, m, zb = mp.mpf(alpha_bar), mp.mpf(mu), mp.mpf(z_bar)
+        ab, m = mp.mpf(alpha_bar), mp.mpf(mu)
         L = l_branches
         g0 = mp.gamma(ab * m)
-        x = -m * (1 / zb) ** ab
-        # Gamma(ab*(ell+mu)) x^ell / ell! depends on ell alone.
-        terms = [mp.gamma(ab * (ell + m)) * x**ell / mp.factorial(ell)
+        # Gamma(ab*(ell+mu)) (-mu)^ell / ell! depends on ell alone.
+        terms = [mp.gamma(ab * (ell + m)) * (-m)**ell / mp.factorial(ell)
                  for ell in range(count)]
         deltas = [g0**L]
         for i in range(1, count):
@@ -92,10 +91,10 @@ def _delta_mp(alpha_bar: float, mu: float, z_bar: float, l_branches: int,
 class IidAlphaMuSum:
     """Cached series representation of the i.i.d. alpha-mu power sum.
 
-    ``coeffs[i]`` holds the gamma-scaled coefficient
-    delta_i / Gamma(i*alpha_bar + phi0): the raw deltas grow like
-    Gamma(alpha_bar*i) and overflow float64 near i ~ 200, while the scaled
-    coefficients decay factorially.
+    f(y) = g(y/z_bar)/z_bar; ``coeffs[i]`` holds g's gamma-scaled coefficient
+    delta_i / Gamma(i*alpha_bar + phi0), one table per (alpha_bar, mu, L):
+    the raw deltas grow like Gamma(alpha_bar*i) and overflow float64 near
+    i ~ 200, while the scaled coefficients decay factorially.
     """
 
     alpha_bar: float
@@ -107,14 +106,14 @@ class IidAlphaMuSum:
     @classmethod
     def build(cls, model: AlphaMuA, nu: float,
               l_branches: int) -> "IidAlphaMuSum":
-        if nu <= 0:
-            raise DomainError("build requires nu > 0")
+        zb = (model.z_hat * nu) ** 2
+        if not (nu > 0 and 0 < zb < math.inf):
+            raise DomainError("build requires nu > 0 and 0 < (z_hat nu)^2 < inf")
         if l_branches < 1:
             raise DomainError("l_branches must be a positive integer")
         ab = model.alpha / 2.0
-        zb = (model.z_hat * nu) ** 2
         coeffs = np.array([float(c) for c in _mp_coeffs(
-            ab, model.mu, zb, l_branches, _TRUNCATION)])
+            ab, model.mu, l_branches, _TRUNCATION)])
         if not np.all(np.isfinite(coeffs)):
             bad = int(np.argmax(~np.isfinite(coeffs)))
             raise EvaluationError(f"series coefficient overflow at index {bad}")
@@ -128,100 +127,101 @@ class IidAlphaMuSum:
 
     @property
     def ln_prefactor(self) -> float:
+        """ln of f(y)'s prefactor, that of g(w) less phi0 ln z_bar."""
+        return self._ln_w_prefactor - self.phi0 * math.log(self.z_bar)
+
+    @property
+    def _ln_w_prefactor(self) -> float:
         ab, m = self.alpha_bar, self.mu
-        single = (math.log(ab) + m * math.log(m) - sp.gammaln(m)
-                  - ab * m * math.log(self.z_bar))
-        return self.l_branches * single
+        return self.l_branches * (math.log(ab) + m * math.log(m) - sp.gammaln(m))
 
 
 @lru_cache(maxsize=16)
-def _mp_coeffs(alpha_bar, mu, z_bar, l_branches, count) -> list:
-    """Gamma-scaled mpf coefficients delta_i / Gamma(i*alpha_bar + phi0).
+def _mp_coeffs(alpha_bar, mu, l_branches, count) -> list:
+    """Gamma-scaled mpf coefficients delta_i / Gamma(i*alpha_bar + phi0) of g.
 
-    One table serves the float coefficients of ``IidAlphaMuSum.build`` and
-    the high-precision fallback ``_series_mp``.
+    One table per (alpha_bar, mu, L) serves the float coefficients of every
+    ``IidAlphaMuSum.build`` and the high-precision fallback ``_series_mp``.
     """
     dps = _series_dps(alpha_bar, l_branches)
-    deltas = _delta_mp(alpha_bar, mu, z_bar, l_branches, count, dps)
+    deltas = _delta_mp(alpha_bar, mu, l_branches, count, dps)
     phi0 = alpha_bar * mu * l_branches
     with mp.workdps(dps):
         ab = mp.mpf(alpha_bar)
         return [d / mp.gamma(i * ab + phi0) for i, d in enumerate(deltas)]
 
 
-def _tail_exponent(s: IidAlphaMuSum, y: float) -> float:
-    """Lower bound on the decay exponent of the sum density at y.
+def _tail_exponent(s: IidAlphaMuSum, w: float) -> float:
+    """Lower bound on the decay exponent of g at w = y/z_bar.
 
-    The per-branch power density decays like exp(-mu (x/z_bar)^alpha_bar);
-    for alpha_bar > 1 the slowest joint decay splits y equally, giving
-    mu L^(1-alpha_bar) (y/z_bar)^alpha_bar.
+    The per-branch density of x/z_bar decays like exp(-mu (x/z_bar)^alpha_bar);
+    for alpha_bar > 1 the slowest joint decay splits w equally, giving
+    mu L^(1-alpha_bar) w^alpha_bar.
     """
     ab = s.alpha_bar
-    return (s.mu * s.l_branches ** (1.0 - ab) if ab > 1.0 else s.mu) \
-        * (y / s.z_bar) ** ab
+    return (s.mu * s.l_branches ** (1.0 - ab) if ab > 1.0 else s.mu) * w ** ab
 
 
-def _series_mp(s: IidAlphaMuSum, y: float) -> float:
-    """High-precision series evaluation for one point.
+def _series_mp(s: IidAlphaMuSum, w: float) -> float:
+    """High-precision evaluation of g at one point w = y/z_bar.
 
     Extends the cached coefficient table (up to 4x _TRUNCATION) when the
     point needs more terms; points beyond the tail cutoff return 0 without
     evaluation.
     """
-    if _tail_exponent(s, y) > _TAIL_CUTOFF:
+    if _tail_exponent(s, w) > _TAIL_CUTOFF:
         return 0.0
     count = _TRUNCATION
     dps = _series_dps(s.alpha_bar, s.l_branches)
     while True:
-        coeffs = _mp_coeffs(s.alpha_bar, s.mu, s.z_bar, s.l_branches, count)
+        coeffs = _mp_coeffs(s.alpha_bar, s.mu, s.l_branches, count)
         with mp.workdps(dps):
-            w = mp.mpf(y) ** mp.mpf(s.alpha_bar)
-            acc = mp.mpf(0)
-            power = mp.mpf(1)
-            small_streak = 0
+            base = mp.mpf(w) ** mp.mpf(s.alpha_bar)
+            acc, power, small_streak = mp.mpf(0), mp.mpf(1), 0
             for i, e in enumerate(coeffs):
                 term = e * power
                 acc += term
-                power *= w
+                power *= base
                 if i > 4 and abs(term) < mp.mpf("1e-30") * abs(acc):
                     small_streak += 1
                     if small_streak >= 3:
-                        pref = mp.e**(mp.mpf(s.ln_prefactor)
-                                      + (s.phi0 - 1.0) * mp.log(mp.mpf(y)))
+                        pref = mp.e**(mp.mpf(s._ln_w_prefactor)
+                                      + (s.phi0 - 1.0) * mp.log(mp.mpf(w)))
                         return float(pref * acc)
                 else:
                     small_streak = 0
             achieved = float(abs(term) / max(abs(acc), mp.mpf("1e-300")))
         if count >= 4 * _TRUNCATION:
-            raise AccuracyError(
-                f"series truncation {count} insufficient at y={y:g}",
-                achieved=achieved)
+            raise AccuracyError(f"series truncation {count} insufficient "
+                                f"at w={w:g}", achieved=achieved)
         count *= 2
 
 
 def iid_sum_power_pdf(s: IidAlphaMuSum, y):
     """PDF of the i.i.d. alpha-mu power sum at y >= 0 (series evaluation).
 
-    Float64 evaluation with a per-point rounding-error estimate; points whose
-    estimated error exceeds _RTOL*|f| + _ATOL are recomputed in mpmath.
+    f(y) = g(y/z_bar)/z_bar, g evaluated in float64 with a per-point rounding
+    error estimate; points where it exceeds _RTOL*|g| + _ATOL are recomputed
+    in mpmath, so the choice is the same at every scale.
     """
-    return _eval_pointwise(y, lambda x: _series_float_block(s, x),
-                           math.exp(s.ln_prefactor) * s.coeffs[0], s.phi0 - 1.0)
+    return _eval_pointwise(y, lambda x: _series_float_block(s, x / s.z_bar)
+                           / s.z_bar, math.exp(s.ln_prefactor) * s.coeffs[0],
+                           s.phi0 - 1.0)
 
 
-def _series_float_block(s: IidAlphaMuSum, y: np.ndarray) -> np.ndarray:
+def _series_float_block(s: IidAlphaMuSum, w: np.ndarray) -> np.ndarray:
     ab, phi0 = s.alpha_bar, s.phi0
-    lny = np.log(y)
-    acc = np.zeros_like(y)
-    # exp(k ln y) carries a relative rounding error of about eps*(1 + |k ln y|),
+    lnw = np.log(w)
+    acc = np.zeros_like(w)
+    # exp(k ln w) carries a relative rounding error of about eps*(1 + |k ln w|),
     # so eps * errsum estimates the rounding error of the sum.
-    errsum = np.zeros_like(y)
-    done = np.zeros_like(y, dtype=bool)
-    small_streak = np.zeros_like(y, dtype=int)
-    # Overflow at large y only marks the point for the high-precision path.
+    errsum = np.zeros_like(w)
+    done = np.zeros_like(w, dtype=bool)
+    small_streak = np.zeros_like(w, dtype=int)
+    # Overflow at large w only marks the point for the high-precision path.
     with np.errstate(over="ignore", invalid="ignore"):
         for i, e in enumerate(s.coeffs):
-            ln_power = (i * ab + phi0 - 1.0) * lny
+            ln_power = (i * ab + phi0 - 1.0) * lnw
             term = e * np.exp(ln_power)
             mag = np.abs(term)
             acc = np.where(done, acc, acc + term)
@@ -232,13 +232,13 @@ def _series_float_block(s: IidAlphaMuSum, y: np.ndarray) -> np.ndarray:
             done = done | (small_streak >= 3)
             if done.all():
                 break
-    pref = math.exp(s.ln_prefactor)
+    pref = math.exp(s._ln_w_prefactor)
     vals = pref * acc
     err = pref * errsum * 2.2e-16
     need_mp = (~done) | (err > _RTOL * np.abs(vals) + _ATOL) | ~np.isfinite(vals)
     if np.any(need_mp):
         for idx in np.nonzero(need_mp)[0]:
-            vals[idx] = _series_mp(s, float(y[idx]))
+            vals[idx] = _series_mp(s, float(w[idx]))
     return vals
 
 

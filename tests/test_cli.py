@@ -3,10 +3,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from thzdiv import cli
 from thzdiv.ber_analytic import ber_exact_quadrature
+from thzdiv.channel_models import alpha_mu_a_preset
 from thzdiv.cli import (
     CSV_HEADER,
     ScenarioError,
@@ -14,6 +16,7 @@ from thzdiv.cli import (
     main,
     read_curve_csv,
 )
+from thzdiv.sum_dist import IidAlphaMuSum, iid_sum_power_pdf
 
 SCN_A = {
     "branches": [{"type": "alpha_mu_a", "preset": "indoor_1", "copies": 2}],
@@ -285,6 +288,28 @@ class TestOtherSubcommands:
         capsys.readouterr()
         assert rc == 1
 
+    @pytest.mark.parametrize("args,flag", [
+        (["--theory-kappa2", "nan"], "--theory-kappa2"),
+        (["--theory-kappa2", "inf"], "--theory-kappa2"),
+        (["--theory-kappa2", "0"], "--theory-kappa2"),
+        (["--theory-kappa2", "2.5", "--tol", "nan"], "--tol"),
+        (["--tol", "-0.1"], "--tol"),
+    ], ids=["kappa2_nan", "kappa2_inf", "kappa2_zero", "tol_nan",
+            "tol_negative"])
+    def test_fit_rejects_bad_arguments(self, tmp_path, capsys, args, flag):
+        lines = [CSV_HEADER] + [",".join([
+            f"{10 * math.log10(u):.17g}", f"{u:.17g}",
+            f"{0.4 * u ** -2.5:.17g}", "0", "exact", "", ""])
+            for u in (10.0, 100.0, 1000.0)]
+        csv = tmp_path / "c.csv"
+        csv.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "fit.json"
+        rc = main(["fit", "--csv", str(csv), "--out", str(out)] + args)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {flag}") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_scenario_file(self, tmp_path, capsys):
         rc = main(["ber", "--scenario", str(tmp_path / "nope.json"),
                    "--method", "exact", "--out", str(tmp_path / "o.csv")])
@@ -324,8 +349,12 @@ class TestOtherSubcommands:
         ({"mc": {"trials": None}}, "mc.trials"),
         ({"mc": {"seed": 1.5}}, "mc.seed"),
         ({"mc": {"method": "foo"}}, "mc.method"),
+        ({"mc": {"seed": -1}}, "mc.seed"),
+        ({"mc": {"trials": 100}}, "mc.trials"),
         ({"snr_db": {"start": 0, "stop": 1e300, "step": 1e-300}}, "snr_db"),
         ({"snr_db": {"start": 0, "stop": 10000, "step": 1}}, "snr_db"),
+        ({"snr_db": {"start": 3000, "stop": 3100, "step": 50}}, "snr_db"),
+        ({"snr_db": {"start": -4000, "stop": -3900, "step": 50}}, "snr_db"),
         ({"branches": [{"preset": "indoor_1", "copies": 2.7}]},
          "branches[0].copies"),
         ({"branches": [{"preset": "indoor_1", "copies": 1e9}]},
@@ -336,8 +365,9 @@ class TestOtherSubcommands:
     ], ids=["g_not_a_number", "grid_not_a_number", "link_not_a_number",
             "link_noise_setting", "link_normalized_not_a_bool",
             "trials_not_a_number", "trials_null", "seed_not_integral",
-            "mc_method_unknown",
-            "grid_overflow", "grid_too_long", "copies_not_integral",
+            "mc_method_unknown", "seed_negative", "trials_too_few",
+            "grid_overflow", "grid_too_long", "upsilon_overflow",
+            "upsilon_underflow", "copies_not_integral",
             "copies_too_many", "branches_too_many"])
     def test_malformed_scenario_field_is_a_scenario_error(
             self, tmp_path, capsys, update, field):
@@ -360,6 +390,22 @@ class TestOtherSubcommands:
                      "--method", "mgf", "--out", str(out)]) == 0
         (point,) = read_curve_csv(str(out)).points
         assert point.ber == pytest.approx(0.49862220953, rel=1e-9)
+
+    def test_form_a_exact_on_a_link_budget(self, tmp_path):
+        # On the default link (nu ~ 8.4e-6) BER(Upsilon; nu) is the
+        # normalised curve at Upsilon nu^2.
+        scn = write_scn(tmp_path, dict(
+            SCN_A, link={"normalized": False},
+            snr_db={"start": 90, "stop": 130, "step": 10}))
+        out = tmp_path / "o.csv"
+        assert main(["ber", "--scenario", scn, "--method", "exact",
+                     "--out", str(out)]) == 0
+        nu = load_scenario(scn)[0].nu
+        s = IidAlphaMuSum.build(alpha_mu_a_preset("indoor_1"), 1.0, 2)
+        curve = read_curve_csv(str(out))
+        ref = ber_exact_quadrature(lambda y: iid_sum_power_pdf(s, y),
+                                   curve.upsilons * nu**2)
+        np.testing.assert_allclose(curve.bers, ref, rtol=1e-9, atol=0.0)
 
     @pytest.mark.parametrize("method", ["exact", "foxh", "asymptotic"])
     def test_single_form_b_branch(self, tmp_path, method):

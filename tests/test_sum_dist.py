@@ -80,13 +80,22 @@ class TestIidSeries:
         assert np.all(np.isfinite(vals))
         assert np.all(vals >= 0.0)
 
-    def test_nu_scaling(self):
+    @pytest.mark.parametrize("nu", [2.0, 0.04, 8.4e-6])
+    def test_nu_scaling(self, nu):
         s1 = IidAlphaMuSum.build(INDOOR_1, nu=1.0, l_branches=2)
-        s2 = IidAlphaMuSum.build(INDOOR_1, nu=2.0, l_branches=2)
+        s2 = IidAlphaMuSum.build(INDOOR_1, nu=nu, l_branches=2)
         # |h| scales by nu, so the power density scales by nu^-2 in value
         # and nu^2 in argument.
-        assert iid_sum_power_pdf(s2, 4.0 * 0.9) == pytest.approx(
-            iid_sum_power_pdf(s1, 0.9) / 4.0, rel=1e-8)
+        assert iid_sum_power_pdf(s2, nu**2 * 0.9) == pytest.approx(
+            iid_sum_power_pdf(s1, 0.9) / nu**2, rel=1e-8)
+
+    def test_one_coefficient_table_for_every_scale(self):
+        # The series is written in y/z_bar, so z_hat and nu leave it alone.
+        ref = IidAlphaMuSum.build(INDOOR_1, nu=1.0, l_branches=2)
+        s = IidAlphaMuSum.build(alpha_mu_a_preset("indoor_1", z_hat=3.0),
+                                nu=0.04, l_branches=2)
+        assert s.z_bar == pytest.approx(0.12**2, rel=1e-15)
+        assert np.array_equal(s.coeffs, ref.coeffs)
 
     def test_delta_recursion_base(self):
         # delta_0 = Gamma(alpha_bar * mu)^L by construction, and coeffs[0]
@@ -114,6 +123,8 @@ class TestIidSeries:
             IidAlphaMuSum.build(INDOOR_1, nu=0.0, l_branches=2)
         with pytest.raises(DomainError):
             IidAlphaMuSum.build(INDOOR_1, nu=1.0, l_branches=0)
+        with pytest.raises(DomainError):  # (z_hat nu)^2 underflows to 0
+            IidAlphaMuSum.build(INDOOR_1, nu=1e-200, l_branches=2)
 
 
 @pytest.fixture(scope="module")
