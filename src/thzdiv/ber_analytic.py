@@ -221,12 +221,12 @@ def ber_mg_mgf(branches, nu: float, l_branches: int, upsilon: float,
         p, q = sp.expit(x), sp.expit(-x)
         prod = 0.5 * math.pi**2 * p * q * np.cosh(t)  # d theta / dt
         s_vals = g / np.sin(0.5 * math.pi * p) ** 2
-        cache: dict[int, np.ndarray] = {}
+        # Keyed by value: equal models (frozen, hashable) share one call.
+        cache: dict[MixtureGamma, np.ndarray] = {}
         for snr in snrs:
-            key = id(snr.source)
-            if key not in cache:
-                cache[key] = laplace_exact_series(snr, s_vals)
-            prod = prod * cache[key]
+            if snr.source not in cache:
+                cache[snr.source] = laplace_exact_series(snr, s_vals)
+            prod = prod * cache[snr.source]
         return prod
 
     est = _nested_trapezoid(integrand, -_T_HALF, _T_HALF,

@@ -24,7 +24,6 @@ from scipy import special as sp
 from .errors import DomainError
 
 __all__ = [
-    "SPEED_OF_LIGHT",
     "AlphaMuA",
     "AlphaMuB",
     "MixtureGamma",
@@ -36,8 +35,6 @@ __all__ = [
     "envelope_pdf",
     "power_pdf",
     "envelope_moment",
-    "ALPHA_MU_PRESETS",
-    "MG_PRESETS",
     "alpha_mu_a_preset",
     "alpha_mu_b_preset",
     "mg_preset",
@@ -183,7 +180,12 @@ def path_loss_amplitude(f: float, d: float, kabs: float = 0.0, rho: float = 2.0)
         raise DomainError("path_loss_amplitude requires f > 0 and d > 0")
     if kabs < 0 or rho <= 0:
         raise DomainError("path_loss_amplitude requires kabs >= 0 and rho > 0")
-    spread = (SPEED_OF_LIGHT / (4.0 * math.pi * f * d)) ** (rho / 2.0)
+    try:
+        spread = (SPEED_OF_LIGHT / (4.0 * math.pi * f * d)) ** (rho / 2.0)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise DomainError(f"path_loss_amplitude: (c/(4 pi f d))^(rho/2) leaves "
+                          f"the float range at f = {f:g}, d = {d:g}, "
+                          f"rho = {rho:g}") from exc
     return spread * math.exp(-0.5 * kabs * d)
 
 

@@ -41,6 +41,7 @@ from .channel_models import (
     Scenario,
     alpha_mu_a_preset,
     alpha_mu_b_preset,
+    branch_scale_nu,
     envelope_pdf,
     list_presets,
     mg_preset,
@@ -124,11 +125,16 @@ def _parse_branch(node, idx: int):
     preset = _pop(node, "preset", path)
     kind = _pop(node, "type", path)
     if preset is not None:
-        if str(preset) not in list_presets():
+        family = list_presets().get(str(preset), {}).get("family")
+        if family is None:
             raise ScenarioError(f"{path}.preset: unknown preset {preset!r}")
-        if str(preset).startswith("mg_"):
-            if kind not in (None, "mixture_gamma"):
-                raise ScenarioError(f"{path}: preset '{preset}' is mixture_gamma")
+        kinds = (("mixture_gamma",) if family == "mixture_gamma"
+                 else ("alpha_mu_a", "alpha_mu_b"))
+        if kind is not None and kind not in kinds:
+            raise ScenarioError(f"{path}.type: preset '{preset}' is {family}, "
+                                f"so type must be one of {list(kinds)}, "
+                                f"got {kind!r}")
+        if family == "mixture_gamma":
             model = mg_preset(str(preset))
         elif kind == "alpha_mu_b":
             model = alpha_mu_b_preset(
@@ -179,7 +185,15 @@ def _parse_link(node) -> LinkBudget:
                                 f"got {normalized!r}")
         kwargs["normalized"] = normalized
     _reject_unknown(node, "link")
-    return LinkBudget(**kwargs)
+    try:
+        link = LinkBudget(**kwargs)
+        nu = branch_scale_nu(link)
+    except DomainError as exc:
+        raise ScenarioError(f"link: {exc}") from exc
+    if not 0.0 < nu < math.inf:
+        raise ScenarioError(f"link: the amplitude scale nu = {nu:g} is not "
+                            "a finite positive float")
+    return link
 
 
 def _parse_grid(node) -> tuple[float, ...]:

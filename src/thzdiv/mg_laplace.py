@@ -16,7 +16,7 @@ import numpy as np
 from scipy import integrate
 from scipy import special as sp
 
-from .channel_models import MixtureGamma, _eval_pointwise
+from .channel_models import MixtureGamma, power_pdf
 from .errors import DomainError, EvaluationError
 
 __all__ = [
@@ -54,19 +54,9 @@ class SquaredMgSnr:
 
 
 def snr_pdf_mg(s: SquaredMgSnr, y):
-    """Density sum_i a_i y^{b_i-1} exp(-c_i sqrt(y)) at y >= 0."""
-
-    def f(x):
-        # Log-domain: y^{b-1} alone overflows for large shapes even where
-        # the exponential tail makes the product negligible.
-        x = x[:, None]
-        # a_i may underflow to 0 for very large shapes; log(0) = -inf is the
-        # right sentinel (the component contributes exactly nothing).
-        with np.errstate(divide="ignore"):
-            ln = (np.log(s.a) + (s.b - 1.0) * np.log(x) - s.c * np.sqrt(x))
-        return np.sum(np.exp(ln), axis=1)
-
-    return _eval_pointwise(y, f, s.a, s.b - 1.0)
+    """Density sum_i a_i y^{b_i-1} exp(-c_i sqrt(y)) at y >= 0: the power
+    pdf of gamma' = Upsilon |h|^2 = (nu sqrt(Upsilon) |h_f|)^2."""
+    return power_pdf(s.source, s.nu * math.sqrt(s.upsilon), y)
 
 
 def laplace_exact_series(s: SquaredMgSnr, s_arg):

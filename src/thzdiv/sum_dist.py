@@ -31,11 +31,9 @@ from .errors import AccuracyError, DomainError, EvaluationError
 __all__ = [
     "IidAlphaMuSum",
     "iid_sum_power_pdf",
-    "moments_of_sum",
     "MixtureNodes",
     "solve_mixture_nodes",
     "inid_sum_power_pdf",
-    "SumDensityTable",
     "convolution_oracle",
 ]
 

@@ -308,6 +308,22 @@ class TestMgMgf:
         assert ber_mg_mgf(branches, 1.0, len(branches), u) == pytest.approx(
             mg_theta_quad(branches, u), rel=1e-9, abs=0.0)
 
+    def test_equal_branches_share_one_laplace_call(self, monkeypatch):
+        # Two equal models that are distinct objects cost what one shared
+        # object costs, and give the same bits.
+        calls = []
+        series = ber_analytic.laplace_exact_series
+        monkeypatch.setattr(ber_analytic, "laplace_exact_series",
+                            lambda s, x: calls.append(s) or series(s, x))
+
+        def run(branches):
+            calls.clear()
+            return ber_mg_mgf(branches, 1.0, 2, 0.1).hex(), len(calls)
+
+        shared = run([mg_preset("mg_config3")] * 2)
+        separate = run([mg_preset("mg_config3"), mg_preset("mg_config3")])
+        assert separate == shared
+
     def test_levels_run_out_is_an_error(self, monkeypatch):
         monkeypatch.setattr(ber_analytic, "_T_LEVELS", 1)
         with pytest.raises(EvaluationError):

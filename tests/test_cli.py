@@ -362,13 +362,29 @@ class TestOtherSubcommands:
         ({"branches": [{"preset": "indoor_1", "copies": 5},
                        {"preset": "indoor_1", "copies": 4}]},
          "branches[1].copies"),
+        ({"branches": [{"preset": "indoor_1", "type": "mixture_gamma"}]},
+         "branches[0].type"),
+        ({"branches": [{"preset": "indoor_1", "type": "bogus"}]},
+         "branches[0].type"),
+        ({"branches": [{"preset": "indoor_1", "type": 5}]},
+         "branches[0].type"),
+        ({"link": {"normalized": False, "f": 1e-200, "d": 1e-200}}, "link"),
+        ({"link": {"normalized": False, "f": 1e-100, "d": 1e-100,
+                   "rho": 4}}, "link"),
+        ({"link": {"normalized": False, "f": 1e200, "d": 1e200}}, "link"),
+        ({"link": {"normalized": False, "pt": 1e300, "gt": 1e300,
+                   "gr": 1e300}}, "link"),
     ], ids=["g_not_a_number", "grid_not_a_number", "link_not_a_number",
             "link_noise_setting", "link_normalized_not_a_bool",
             "trials_not_a_number", "trials_null", "seed_not_integral",
             "mc_method_unknown", "seed_negative", "trials_too_few",
             "grid_overflow", "grid_too_long", "upsilon_overflow",
             "upsilon_underflow", "copies_not_integral",
-            "copies_too_many", "branches_too_many"])
+            "copies_too_many", "branches_too_many",
+            "preset_type_other_family", "preset_type_unknown",
+            "preset_type_not_a_string", "link_spread_divides_by_zero",
+            "link_spread_overflows", "link_nu_underflows",
+            "link_nu_overflows"])
     def test_malformed_scenario_field_is_a_scenario_error(
             self, tmp_path, capsys, update, field):
         scn = write_scn(tmp_path, dict(SCN_A, **update))

@@ -32,6 +32,17 @@ class TestSnrDensity:
                                  points=brk[:-1], limit=400)
         assert mass == pytest.approx(1.0, abs=1e-8)
 
+    def test_normalizes_where_a_underflows(self):
+        # Regression: at 40 dB config 4's shape-65 coefficient a_i underflows
+        # to 0, which used to drop a quarter of the mass.
+        s = _snr(CONFIGS[3], 1e4)
+        assert s.a[2] == 0.0
+        mean = envelope_moment(CONFIGS[3], 1.0, 2.0) * 1e4
+        brk = list(np.geomspace(1e-8 * mean, 50.0 * mean, 40))
+        mass, _ = integrate.quad(lambda y: snr_pdf_mg(s, y), 0.0, brk[-1],
+                                 points=brk[:-1], limit=400)
+        assert mass == pytest.approx(1.0, abs=1e-8)
+
     def test_large_y_no_overflow(self):
         # Regression: y^(b-1) with shape 65 (config 4) overflowed where the
         # exponential factor already made the term negligible.
@@ -143,5 +154,6 @@ class TestNumericOracle:
             lambda y: snr_pdf_mg(s, y), 1e-12) == pytest.approx(1.0, abs=1e-6)
 
     def test_reports_quadrature_failure(self):
-        with pytest.raises(EvaluationError):
+        with pytest.raises(EvaluationError), \
+                pytest.warns(integrate.IntegrationWarning):
             laplace_numeric_oracle(lambda y: np.cos(y * y), 1e-8)
