@@ -89,8 +89,8 @@ def ber_exact_quadrature(sum_pdf, upsilon, g: float = 0.5):
     point.  A scalar upsilon gives a float, an array an array.
     """
     u = np.asarray(upsilon, dtype=float)
-    if u.size == 0 or not np.all(u > 0) or g <= 0:
-        raise DomainError("ber_exact_quadrature requires upsilon > 0, g > 0")
+    if u.size == 0 or not (np.all(u > 0) and 0 < g < math.inf):
+        raise DomainError("ber_exact_quadrature requires upsilon, g > 0, g finite")
     # x_c centres the nodes on the grid's geometric middle.  Q(sqrt(2 g U x))
     # is numerically zero beyond x_q = 1500/(2 g U) at every grid point, so
     # nodes beyond the largest x_q carry weight 0 and skip the density.
@@ -171,23 +171,23 @@ def _eq23_foxh_params(nodes: MixtureNodes) -> FoxHParams:
     )
 
 
-def ber_alpha_mu_gen_foxh(nodes: MixtureNodes, upsilon: float,
-                          g: float = 0.5) -> float:
+def ber_alpha_mu_gen_foxh(nodes: MixtureNodes, upsilon, g: float = 0.5):
     """Exact BER of the i.n.i.d. alpha-mu (form B) sum via Fox-H.
 
-    Eq. 23 is written for Q(sqrt(Upsilon y)); it is taken at 2 g Upsilon.
+    Eq. 23 is written for Q(sqrt(Upsilon y)); it is taken at 2 g Upsilon,
+    in one fox_h call over every (node, Upsilon).  A scalar gives a float.
     """
-    if upsilon <= 0 or g <= 0:
-        raise DomainError("upsilon and g must be positive")
-    upsilon = 2.0 * g * upsilon
+    u = np.asarray(upsilon, dtype=float)
+    if not (np.all(u > 0) and 0 < g < math.inf):
+        raise DomainError("upsilon and g must be positive, g finite")
+    u = 2.0 * g * u
     am = nodes.alpha_bar * nodes.mu_bar
-    params = _eq23_foxh_params(nodes)
-    total = 0.0
-    for lam, om in zip(nodes.lambdas, nodes.omegas):
-        z = (2.0 * nodes.beta_bar / (upsilon * om * nodes.z_bar)) ** nodes.alpha_bar
-        h = fox_h(params, z)
-        total += lam / (2.0 * _SQRT_PI) * (upsilon / 2.0) ** (-am) * h
-    return total
+    z = (2.0 * nodes.beta_bar / (np.multiply.outer(nodes.omegas, u)
+                                 * nodes.z_bar)) ** nodes.alpha_bar
+    ber = np.sum(np.multiply.outer(nodes.lambdas / (2.0 * _SQRT_PI),
+                                   (u / 2.0) ** (-am))
+                 * fox_h(_eq23_foxh_params(nodes), z), axis=0)
+    return float(ber) if u.ndim == 0 else ber
 
 
 def ber_alpha_mu_gen_asymptote(branches, nu: float, upsilon, g: float = 0.5):
@@ -207,8 +207,8 @@ def ber_mg_mgf(branches, nu: float, l_branches: int, upsilon: float,
     sqrt(Upsilon) wide there at low SNR.  Raises AccuracyError (an
     EvaluationError) if the levels run out.
     """
-    if upsilon <= 0 or g <= 0:
-        raise DomainError("ber_mg_mgf requires upsilon > 0 and g > 0")
+    if not (upsilon > 0 and 0 < g < math.inf):
+        raise DomainError("ber_mg_mgf requires upsilon > 0 and finite g > 0")
     branches = list(branches)
     if len(branches) != l_branches:
         raise DomainError("branches must have length l_branches")

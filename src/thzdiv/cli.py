@@ -333,7 +333,7 @@ def _compute_curve(scenario: Scenario, method: str, mc: dict) -> BerCurve:
         bers = ber_exact_quadrature(_sum_density(scenario, meta), grid, g=g)
     elif method == "foxh" and fam == "alpha_mu_b":
         nodes = _mixture(scenario, meta)
-        bers = [min(ber_alpha_mu_gen_foxh(nodes, u, g=g), 0.5) for u in grid]
+        bers = np.minimum(ber_alpha_mu_gen_foxh(nodes, grid, g=g), 0.5)
     elif method == "asymptotic" and fam == "alpha_mu_a":
         bers, law = ber_alpha_mu_iid_asymptote(branches[0], nu, len(branches),
                                                grid, g=g)

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy import special as sp
 
 from .channel_models import MixtureGamma, power_pdf
@@ -100,6 +99,7 @@ def laplace_numeric_oracle(pdf, s_arg: float) -> float:
     """Adaptive quadrature of int_0^inf e^{-s y} f(y) dy."""
     if s_arg < 0:
         raise DomainError("laplace_numeric_oracle requires s_arg >= 0")
+    from scipy import integrate  # here, so that importing thzdiv skips it
 
     def integrand(y):
         return math.exp(-s_arg * y) * float(pdf(y))

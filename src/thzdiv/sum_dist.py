@@ -21,7 +21,6 @@ from functools import lru_cache, reduce
 import mpmath as mp
 import numpy as np
 from scipy import linalg as sla
-from scipy import optimize
 from scipy import special as sp
 
 from .channel_models import (AlphaMuA, AlphaMuB, _eval_pointwise,
@@ -49,6 +48,7 @@ _RTOL, _ATOL = 1e-9, 1e-14
 
 # Float series terms; the high-precision path extends the table up to 4x.
 _TRUNCATION = 400
+_SERIES_BLOCK = 128  # points per (terms x points) table of the float series
 
 
 def _series_dps(alpha_bar: float, l_branches: int) -> int:
@@ -208,42 +208,37 @@ def iid_sum_power_pdf(s: IidAlphaMuSum, y):
 
 
 def _series_float_block(s: IidAlphaMuSum, w: np.ndarray) -> np.ndarray:
-    ab, phi0 = s.alpha_bar, s.phi0
-    lnw = np.log(w)
-    acc = np.zeros_like(w)
-    # exp(k ln w) carries a relative rounding error of about eps*(1 + |k ln w|),
-    # so eps * errsum estimates the rounding error of the sum.
-    errsum = np.zeros_like(w)
-    done = np.zeros_like(w, dtype=bool)
-    small_streak = np.zeros_like(w, dtype=int)
-    # Overflow at large w only marks the point for the high-precision path.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, e in enumerate(s.coeffs):
-            ln_power = (i * ab + phi0 - 1.0) * lnw
-            term = e * np.exp(ln_power)
-            mag = np.abs(term)
-            acc = np.where(done, acc, acc + term)
-            errsum = np.where(done, errsum,
-                              errsum + mag * (1.0 + np.abs(ln_power)))
-            small = mag <= 1e-16 * np.maximum(np.abs(acc), 1e-300)
-            small_streak = np.where(small, small_streak + 1, 0)
-            done = done | (small_streak >= 3)
-            if done.all():
-                break
     pref = math.exp(s._ln_w_prefactor)
-    vals = pref * acc
-    err = pref * errsum * 2.2e-16
-    need_mp = (~done) | (err > _RTOL * np.abs(vals) + _ATOL) | ~np.isfinite(vals)
-    if np.any(need_mp):
-        for idx in np.nonzero(need_mp)[0]:
-            vals[idx] = _series_mp(s, float(w[idx]))
+    k = np.arange(s.coeffs.size)[:, None] * s.alpha_bar + s.phi0 - 1.0
+    vals = np.empty_like(w)
+    for i in range(0, w.size, _SERIES_BLOCK):
+        blk = w[i:i + _SERIES_BLOCK]
+        # Overflow at large w only marks the point for the high-precision path.
+        with np.errstate(over="ignore", invalid="ignore"):
+            ln_power = k * np.log(blk)
+            term = s.coeffs[:, None] * np.exp(ln_power)
+            mag = np.abs(term)
+            acc = np.add.accumulate(term)
+            # exp(k ln w) carries a relative rounding error of about
+            # eps*(1 + |k ln w|), so eps * errsum estimates the sum's.
+            errsum = np.add.accumulate(mag * (1.0 + np.abs(ln_power)))
+            small = mag <= 1e-16 * np.maximum(np.abs(acc), 1e-300)
+        # A point's sum stops at its first run of three small terms.
+        run = small[2:] & small[1:-1] & small[:-2]
+        stop, cols = np.argmax(run, axis=0) + 2, np.arange(blk.size)
+        v = pref * acc[stop, cols]
+        err = pref * errsum[stop, cols] * 2.2e-16
+        need_mp = (~run.any(axis=0) | (err > _RTOL * np.abs(v) + _ATOL)
+                   | ~np.isfinite(v))
+        v[need_mp] = [_series_mp(s, float(x)) for x in blk[need_mp]]
+        vals[i:i + _SERIES_BLOCK] = v
     return vals
 
 
 # --- moments of the sum ------------------------------------------------------
 
-def moments_of_sum(branches, nu: float, n: int) -> float:
-    """E[Z^n] for Z = sum |h_i|^2, via binomial convolution of moments."""
+def moments_of_sum(branches, nu: float, n: int) -> np.ndarray:
+    """E[Z^0..Z^n] for Z = sum |h_i|^2, via binomial convolution of moments."""
     if n < 0:
         raise DomainError("moments_of_sum requires n >= 0")
     acc = None
@@ -257,7 +252,7 @@ def moments_of_sum(branches, nu: float, n: int) -> float:
                 cj = sp.comb(j, np.arange(j + 1))
                 new[j] = float(np.sum(cj * acc[: j + 1] * m[j::-1]))
             acc = new
-    return float(acc[n])
+    return acc
 
 
 # --- i.n.i.d. mixture approximation ------------------------------------------
@@ -302,12 +297,11 @@ def _normalized_sum_moments(branches, nu: float, count: int,
     M_n = E[Z^n] (beta_bar/z_bar)^n Gamma(mu_bar)/Gamma(mu_bar + n/alpha_bar);
     this normalization reproduces the single-branch case exactly.
     """
-    M = np.empty(count)
+    M = moments_of_sum(branches, nu, count - 1)
     for n in range(count):
-        ez = moments_of_sum(branches, nu, n)
         ln = (n * (math.log(beta_bar) - math.log(z_bar))
               + sp.gammaln(mu_bar) - sp.gammaln(mu_bar + n / alpha_bar))
-        M[n] = ez * math.exp(ln)
+        M[n] *= math.exp(ln)
     return M
 
 
@@ -409,6 +403,7 @@ def solve_mixture_nodes(branches, nu: float, psi: int = 4) -> MixtureNodes:
                             residual=abs(M[1] ** (-ab * mu_bar) - target)
                             / max(1.0, target))
 
+    from scipy import optimize  # here, so that importing thzdiv skips it
     # From psi down, a failed Cholesky, a bad Gauss start, no bracket or a
     # missed gate each tries one node fewer.
     am = ab * mu_bar

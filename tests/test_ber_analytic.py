@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from thzdiv import ber_analytic
+from thzdiv import ber_analytic, specfun
 from thzdiv.ber_analytic import (
     AsymptoteLaw,
     AsymptoteSource,
@@ -215,6 +216,34 @@ class TestFormBFoxH:
                                    40.0, g=g)
         assert ber_alpha_mu_gen_foxh(nodes, 40.0, g=g) == pytest.approx(
             p_q, rel=1e-8)
+
+    def test_grid_equals_points(self):
+        # One fox_h call over every (node, Upsilon) pair against one call
+        # per point; a 2-D grid keeps its shape.
+        nodes = solve_mixture_nodes(
+            [alpha_mu_b_preset("indoor_1", x_mean=x)
+             for x in (0.8, 0.9, 1.1, 1.25)], 1.0)
+        u = 10.0 ** (np.linspace(-100.0, 100.0, 60) / 10.0).reshape(6, 10)
+        grid = ber_alpha_mu_gen_foxh(nodes, u, g=0.7)
+        assert grid.shape == u.shape
+        each = [ber_alpha_mu_gen_foxh(nodes, v, g=0.7) for v in u.flat]
+        assert all(type(p) is float for p in each)
+        np.testing.assert_allclose(grid.ravel(), each, rtol=1e-13, atol=0.0)
+
+    def test_grid_memory_is_bounded(self):
+        # fox_h carries at most _FOX_H_BLOCK z per (t, z) table; one table
+        # over all 4 x 2001 pairs would take about 86 MB.
+        nodes = solve_mixture_nodes(
+            [alpha_mu_b_preset("indoor_1", x_mean=x)
+             for x in (0.8, 0.9, 1.1, 1.25)], 1.0)
+        u = 10.0 ** (np.linspace(-100.0, 100.0, 2001) / 10.0)
+        tracemalloc.start()
+        try:
+            ber_alpha_mu_gen_foxh(nodes, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_asymptote_law(self):
         _, law = ber_alpha_mu_gen_asymptote(
@@ -442,6 +471,32 @@ class TestLeadingTermOracles:
         full, full_law = ber_mg_asymptote(branches, 1.0, u)
         assert dom_law == full_law
         assert full == pytest.approx(dom, rel=1e-12, abs=0.0)
+
+
+NODES_1 = solve_mixture_nodes([alpha_mu_b_preset("indoor_1")], 1.0)
+RAYLEIGH_PDF = functools.partial(power_pdf, RAYLEIGH, 1.0)
+ROUTES = {
+    "exact": lambda u, g: ber_exact_quadrature(RAYLEIGH_PDF, u, g=g),
+    "foxh": lambda u, g: ber_alpha_mu_gen_foxh(NODES_1, u, g=g),
+    "mgf": lambda u, g: ber_mg_mgf([mg_preset("mg_config1")], 1.0, 1, u,
+                                   g=g),
+}
+BAD_ARGS = {"u-nan": (math.nan, 0.5), "g-nan": (10.0, math.nan),
+            "g-inf": (10.0, math.inf), "g-zero": (10.0, 0.0),
+            "g-negative": (10.0, -1.0)}
+
+
+@pytest.mark.parametrize("route,case", [
+    (r, c) for r in ROUTES for c in BAD_ARGS] + [
+    ("exact", "grid-nan"), ("foxh", "grid-nan")])
+def test_rejects_bad_upsilon_or_g_at_once(monkeypatch, route, case):
+    # A NaN fails every comparison, so each check is written to fail on it;
+    # the error comes before any quadrature runs, with no warning.
+    u, g = BAD_ARGS.get(case, (np.array([10.0, math.nan]), 0.5))
+    monkeypatch.setattr(ber_analytic, "_nested_trapezoid", None)
+    monkeypatch.setattr(specfun, "_nested_trapezoid", None)
+    with pytest.raises(DomainError):
+        ROUTES[route](u, g)
 
 
 class TestHelpers:

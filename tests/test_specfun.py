@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
+from thzdiv import specfun
 from thzdiv.errors import AccuracyError, DomainError, EvaluationError
 from thzdiv.specfun import FoxHParams, _nested_trapezoid, fox_h, q_function
 
@@ -90,7 +91,59 @@ class TestFoxHClosedForms:
         assert fox_h(params, z) == pytest.approx(float(ref.real), rel=1e-8)
 
 
+class TestFoxHArray:
+    def test_array_equals_elementwise(self, monkeypatch):
+        # 1200 z over twelve decades: the small z take a left abscissa, the
+        # large a right one, and a group of more than _FOX_H_BLOCK z is
+        # split into blocks.
+        params = h_binom(1.5)
+        z = np.geomspace(1e-6, 1e6, 1200).reshape(30, 40)
+        abscissas, rules, widths = set(), [], []
+        kernel, rule = specfun._log_mellin_kernel, specfun._nested_trapezoid
+
+        def spy_kernel(p, s):
+            if np.size(s) > 5:
+                abscissas.update(np.unique(np.real(s)).tolist())
+            return kernel(p, s)
+
+        def spy_rule(f, *args):
+            def record(t):
+                vals = f(t)
+                widths.append(vals.shape[1])
+                return vals
+
+            rules.append(args)
+            return rule(record, *args)
+
+        monkeypatch.setattr(specfun, "_log_mellin_kernel", spy_kernel)
+        monkeypatch.setattr(specfun, "_nested_trapezoid", spy_rule)
+        out = fox_h(params, z)
+        monkeypatch.undo()
+        assert out.shape == z.shape
+        assert len(abscissas) >= 2
+        assert len(rules) > len(abscissas)
+        assert max(widths) <= specfun._FOX_H_BLOCK
+        each = np.array([fox_h(params, float(v)) for v in z.flat])
+        np.testing.assert_allclose(out.ravel(), each, rtol=1e-14, atol=0.0)
+        ref = math.gamma(1.5) * (1.0 + z) ** -1.5
+        np.testing.assert_allclose(out, ref, rtol=1e-9, atol=0.0)
+
+    def test_scalar_gives_float(self):
+        assert type(fox_h(H_EXP, 1.0)) is float
+        assert type(fox_h(H_EXP, np.float64(1.0))) is float
+        assert fox_h(H_EXP, np.array([1.0])).shape == (1,)
+
+
 class TestFoxHValidation:
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf,
+                                   np.array([1.0, math.nan])],
+                             ids=["nan", "inf", "-inf", "array-nan"])
+    def test_rejects_non_finite_z_at_once(self, monkeypatch, z):
+        # Raised before any quadrature, so no halving runs and no warning.
+        monkeypatch.setattr(specfun, "_nested_trapezoid", None)
+        with pytest.raises(DomainError):
+            fox_h(H_EXP, z)
+
     def test_rejects_nonpositive_z(self):
         with pytest.raises(DomainError):
             fox_h(H_EXP, 0.0)

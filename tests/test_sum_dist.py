@@ -1,6 +1,7 @@
 """Distribution of the MRC statistic ||h||^2: series, mixture, oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,6 +119,54 @@ class TestIidSeries:
         ref = np.array([_series_mp(s, float(y)) for y in ys])
         assert np.all(np.abs(vals - ref) <= 1e-9 * np.abs(ref) + 1e-14)
 
+    def test_term_table_equals_the_term_loop_bit_for_bit(self):
+        # Reference: the per-term loop with done/streak masks that the
+        # (terms x points) table replaced; its sums are the table's.
+        s = IidAlphaMuSum.build(INDOOR_1, nu=1.0, l_branches=2)
+        w = np.linspace(1e-3, 4.5, 2 * sum_dist._SERIES_BLOCK + 7) / s.z_bar
+        acc, errsum = np.zeros_like(w), np.zeros_like(w)
+        done, streak = np.zeros_like(w, dtype=bool), np.zeros_like(w, int)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, e in enumerate(s.coeffs):
+                ln_power = (i * s.alpha_bar + s.phi0 - 1.0) * np.log(w)
+                term = e * np.exp(ln_power)
+                acc = np.where(done, acc, acc + term)
+                errsum = np.where(done, errsum, errsum + np.abs(term)
+                                  * (1.0 + np.abs(ln_power)))
+                small = np.abs(term) <= 1e-16 * np.maximum(np.abs(acc),
+                                                           1e-300)
+                streak = np.where(small, streak + 1, 0)
+                done |= streak >= 3
+        pref = math.exp(s._ln_w_prefactor)
+        ref, err = pref * acc, pref * errsum * 2.2e-16
+        float_ok = done & (err <= 1e-9 * np.abs(ref) + 1e-14) & np.isfinite(ref)
+        out = sum_dist._series_float_block(s, w)
+        assert float_ok.sum() > 0.9 * w.size
+        assert np.array_equal(out[float_ok].view(np.uint64),
+                              ref[float_ok].view(np.uint64))
+
+    def test_grid_equals_points_bit_for_bit(self):
+        # Each point's sum is its own column of the term table, so a grid of
+        # several blocks gives the bits of one point at a time.
+        s = IidAlphaMuSum.build(INDOOR_1, nu=1.0, l_branches=2)
+        ys = np.linspace(1e-3, 4.5, 3 * sum_dist._SERIES_BLOCK + 7)
+        grid = iid_sum_power_pdf(s, ys)
+        each = np.array([iid_sum_power_pdf(s, float(y)) for y in ys])
+        assert np.array_equal(grid.view(np.uint64), each.view(np.uint64))
+
+    def test_grid_memory_is_bounded(self):
+        # One (terms x points) table over all 10 000 points would take
+        # about 214 MB; blocks of _SERIES_BLOCK points bound it.
+        s = IidAlphaMuSum.build(INDOOR_1, nu=1.0, l_branches=2)
+        ys = np.linspace(1e-3, 3.0, 10_000)
+        tracemalloc.start()
+        try:
+            iid_sum_power_pdf(s, ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
     def test_rejects_bad_build(self):
         with pytest.raises(DomainError):
             IidAlphaMuSum.build(INDOOR_1, nu=0.0, l_branches=2)
@@ -145,12 +194,12 @@ class TestMixtureNodes:
         # The mixture must reproduce the analytic moments of the sum.
         branches = [alpha_mu_b_preset("indoor_1"),
                     alpha_mu_b_preset("indoor_1", x_mean=0.8)]
+        moments = moments_of_sum(branches, 1.0, 3)
         for n in (1, 2, 3):
             num, _ = integrate.quad(
                 lambda y: y**n * inid_sum_power_pdf(nodes, y),
                 0.0, np.inf, limit=300)
-            assert num == pytest.approx(
-                moments_of_sum(branches, 1.0, n), rel=1e-4)
+            assert num == pytest.approx(moments[n], rel=1e-4)
 
     def test_matches_convolution_oracle(self, nodes):
         branches = [alpha_mu_b_preset("indoor_1"),
