@@ -44,6 +44,16 @@ __all__ = [
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
 
+def _check_finite(where: str, zero_ok: bool = False, **fields) -> None:
+    """Raise DomainError naming the first field outside (0, inf), or outside
+    [0, inf) with ``zero_ok``; written in the positive form, so that NaN
+    fails it too."""
+    for name, value in fields.items():
+        if not (0 < value < math.inf or (zero_ok and value == 0)):
+            raise DomainError(f"{where} requires a finite {name} "
+                              f"{'>=' if zero_ok else '>'} 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AlphaMuA:
     """alpha-mu envelope model, Z-hat (alpha-root-mean) parameterization."""
@@ -53,8 +63,8 @@ class AlphaMuA:
     z_hat: float = 1.0
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.mu <= 0 or self.z_hat <= 0:
-            raise DomainError("AlphaMuA requires alpha, mu, z_hat > 0")
+        _check_finite("AlphaMuA", alpha=self.alpha, mu=self.mu,
+                      z_hat=self.z_hat)
 
 
 @dataclass(frozen=True)
@@ -70,8 +80,8 @@ class AlphaMuB:
     beta_param: float = field(init=False)
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.mu <= 0 or self.x_mean <= 0:
-            raise DomainError("AlphaMuB requires alpha, mu, x_mean > 0")
+        _check_finite("AlphaMuB", alpha=self.alpha, mu=self.mu,
+                      x_mean=self.x_mean)
         beta = math.exp(sp.gammaln(self.mu + 1.0 / self.alpha) - sp.gammaln(self.mu))
         object.__setattr__(self, "beta_param", beta)
 
@@ -139,9 +149,9 @@ class LinkBudget:
     normalized: bool = True
 
     def __post_init__(self):
-        pos = (self.f, self.d, self.rho, self.pt, self.gt, self.gr)
-        if any(v <= 0 for v in pos) or self.kabs < 0:
-            raise DomainError("LinkBudget physical fields must be positive (kabs >= 0)")
+        _check_finite("LinkBudget", f=self.f, d=self.d, rho=self.rho,
+                      pt=self.pt, gt=self.gt, gr=self.gr)
+        _check_finite("LinkBudget", zero_ok=True, kabs=self.kabs)
 
 
 @dataclass(frozen=True)
@@ -159,11 +169,11 @@ class Scenario:
         object.__setattr__(self, "snr_grid", grid)
         if len(self.branches) < 1:
             raise DomainError("Scenario needs at least one branch")
-        if self.g <= 0:
-            raise DomainError("Scenario requires g > 0")
-        if grid and (any(u <= 0 for u in grid) or any(
-                b <= a for a, b in zip(grid[:-1], grid[1:]))):
-            raise DomainError("snr_grid must be strictly ascending and positive")
+        _check_finite("Scenario", g=self.g)
+        if not all(0 < u < math.inf for u in grid):
+            raise DomainError("Scenario requires finite snr_grid values > 0")
+        if any(b <= a for a, b in zip(grid[:-1], grid[1:])):
+            raise DomainError("snr_grid must be strictly ascending")
 
     @property
     def l_branches(self) -> int:
@@ -176,10 +186,8 @@ class Scenario:
 
 def path_loss_amplitude(f: float, d: float, kabs: float = 0.0, rho: float = 2.0) -> float:
     """Free-space THz path-loss amplitude (c/(4 pi f d))^(rho/2) e^(-kabs d/2)."""
-    if f <= 0 or d <= 0:
-        raise DomainError("path_loss_amplitude requires f > 0 and d > 0")
-    if kabs < 0 or rho <= 0:
-        raise DomainError("path_loss_amplitude requires kabs >= 0 and rho > 0")
+    _check_finite("path_loss_amplitude", f=f, d=d, rho=rho)
+    _check_finite("path_loss_amplitude", zero_ok=True, kabs=kabs)
     try:
         spread = (SPEED_OF_LIGHT / (4.0 * math.pi * f * d)) ** (rho / 2.0)
     except (ZeroDivisionError, OverflowError) as exc:
@@ -216,8 +224,9 @@ def _eval_pointwise(y, positive_fn, coef, exponent):
     density is the limit of its local form sum_i coef_i y^exponent_i.
     """
     arr = np.asarray(y, dtype=float)
-    if np.any(arr < 0.0):
-        raise DomainError("density argument must be nonnegative")
+    # Written so that NaN, which is not > 0, is not taken for y = 0.
+    if not np.all(arr >= 0.0):
+        raise DomainError("density argument must be a nonnegative number")
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     out = np.zeros_like(arr)
@@ -274,8 +283,7 @@ def _power_leading_terms(model: BranchModel, nu: float):
 
 def power_pdf(model: BranchModel, nu: float, y):
     """PDF of the scaled channel power |h|^2 = (nu |h_f|)^2 at y >= 0."""
-    if nu <= 0:
-        raise DomainError("power_pdf requires nu > 0")
+    _check_finite("power_pdf", nu=nu)
     lnk, phi = _power_leading_terms(model, nu)
     if isinstance(model, MixtureGamma):
         tail = lambda x: (model.rates / nu) * np.sqrt(x)
@@ -292,8 +300,8 @@ def power_pdf(model: BranchModel, nu: float, y):
 
 def envelope_moment(model: BranchModel, nu: float, k: float) -> float:
     """k-th moment E[|h|^k] of the scaled envelope |h| = nu |h_f|, k >= 0."""
-    if k < 0:
-        raise DomainError("envelope_moment requires k >= 0")
+    _check_finite("envelope_moment", nu=nu)
+    _check_finite("envelope_moment", zero_ok=True, k=k)
     if k == 0:
         return 1.0
     if isinstance(model, MixtureGamma):

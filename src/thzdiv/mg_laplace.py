@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sp
 
-from .channel_models import MixtureGamma, power_pdf
+from .channel_models import MixtureGamma, _check_finite, power_pdf
 from .errors import DomainError, EvaluationError
 
 __all__ = [
@@ -41,8 +41,7 @@ class SquaredMgSnr:
     @classmethod
     def from_model(cls, model: MixtureGamma, upsilon: float,
                    nu: float = 1.0) -> "SquaredMgSnr":
-        if upsilon <= 0 or nu <= 0:
-            raise DomainError("SquaredMgSnr requires upsilon > 0 and nu > 0")
+        _check_finite("SquaredMgSnr", upsilon=upsilon, nu=nu)
         beta = model.shapes
         b = beta / 2.0
         ln_a = (np.log(model.alphas) - b * math.log(upsilon)
@@ -68,7 +67,7 @@ def laplace_exact_series(s: SquaredMgSnr, s_arg):
     Accurate to about 1e-8 relative, the accuracy of ``scipy.special.hyperu``.
     """
     s_arr = np.asarray(s_arg, dtype=float)
-    if np.any(s_arr <= 0):
+    if not np.all(s_arr > 0):
         raise DomainError("laplace_exact_series requires s_arg > 0")
     scalar = s_arr.ndim == 0
     x = np.atleast_1d(s_arr)[:, None]
@@ -86,7 +85,7 @@ def laplace_exact_series(s: SquaredMgSnr, s_arg):
 def laplace_high_snr(s: SquaredMgSnr, s_arg) -> float:
     """First-term (high-Upsilon) approximation of the Laplace transform."""
     s_arr = np.asarray(s_arg, dtype=float)
-    if np.any(s_arr <= 0):
+    if not np.all(s_arr > 0):
         raise DomainError("laplace_high_snr requires s_arg > 0")
     scalar = s_arr.ndim == 0
     s_arr = np.atleast_1d(s_arr).astype(float)
@@ -96,17 +95,20 @@ def laplace_high_snr(s: SquaredMgSnr, s_arg) -> float:
 
 
 def laplace_numeric_oracle(pdf, s_arg: float) -> float:
-    """Adaptive quadrature of int_0^inf e^{-s y} f(y) dy."""
-    if s_arg < 0:
-        raise DomainError("laplace_numeric_oracle requires s_arg >= 0")
+    """Adaptive quadrature of int_0^inf e^{-s y} f(y) dy, to 1e-10 relative."""
+    if not 0 <= s_arg < math.inf:
+        raise DomainError("laplace_numeric_oracle requires a finite s_arg >= 0")
     from scipy import integrate  # here, so that importing thzdiv skips it
 
     def integrand(y):
         return math.exp(-s_arg * y) * float(pdf(y))
 
-    val, err = integrate.quad(integrand, 0.0, np.inf, epsabs=1e-12,
+    val, err = integrate.quad(integrand, 0.0, np.inf, epsabs=0.0,
                               epsrel=1e-11, limit=400)
-    if err > 1e-10:
+    # Relative, so that a transform far below 1 keeps its digits; written so
+    # that a NaN value or estimate fails.
+    if not err <= 1e-10 * abs(val):
         raise EvaluationError(
-            f"Laplace quadrature error estimate {err:.2e} exceeds 1e-10")
+            f"Laplace quadrature error estimate {err:.2e} exceeds 1e-10 "
+            f"of |{val:.3e}|")
     return val

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel_models import AlphaMuA, AlphaMuB, MixtureGamma, Scenario
+from .channel_models import (AlphaMuA, AlphaMuB, MixtureGamma, Scenario,
+                             _check_finite)
 from .errors import DomainError
 from .specfun import q_function
 
@@ -84,8 +85,7 @@ class BerCurve:
 def sample_branch_envelope(model, nu: float, stream: np.random.Generator,
                            size=None):
     """Draw scaled envelope amplitudes |h| = nu |h_f| from a branch model."""
-    if nu <= 0:
-        raise DomainError("sample_branch_envelope requires nu > 0")
+    _check_finite("sample_branch_envelope", nu=nu)
     if isinstance(model, AlphaMuA):
         g = stream.standard_gamma(model.mu, size)
         return nu * model.z_hat * (g / model.mu) ** (1.0 / model.alpha)

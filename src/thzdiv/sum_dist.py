@@ -18,13 +18,12 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
-import mpmath as mp
 import numpy as np
-from scipy import linalg as sla
 from scipy import special as sp
 
-from .channel_models import (AlphaMuA, AlphaMuB, _eval_pointwise,
-                             _power_leading_terms, envelope_moment)
+from .channel_models import (AlphaMuA, AlphaMuB, _check_finite,
+                             _eval_pointwise, _power_leading_terms,
+                             envelope_moment)
 from .errors import AccuracyError, DomainError, EvaluationError
 
 __all__ = [
@@ -69,6 +68,7 @@ def _delta_mp(alpha_bar: float, mu: float, l_branches: int, count: int,
     The deltas alternate in sign and grow like Gamma(alpha_bar*i), so the
     recursion is run at elevated precision and rounded on output.
     """
+    import mpmath as mp  # here, so that only the form-A series loads it
     with mp.workdps(dps):
         ab, m = mp.mpf(alpha_bar), mp.mpf(mu)
         L = l_branches
@@ -105,8 +105,7 @@ class IidAlphaMuSum:
     def build(cls, model: AlphaMuA, nu: float,
               l_branches: int) -> "IidAlphaMuSum":
         zb = (model.z_hat * nu) ** 2
-        if not (nu > 0 and 0 < zb < math.inf):
-            raise DomainError("build requires nu > 0 and 0 < (z_hat nu)^2 < inf")
+        _check_finite("IidAlphaMuSum.build", nu=nu, z_bar=zb)
         if l_branches < 1:
             raise DomainError("l_branches must be a positive integer")
         ab = model.alpha / 2.0
@@ -141,6 +140,7 @@ def _mp_coeffs(alpha_bar, mu, l_branches, count) -> list:
     One table per (alpha_bar, mu, L) serves the float coefficients of every
     ``IidAlphaMuSum.build`` and the high-precision fallback ``_series_mp``.
     """
+    import mpmath as mp
     dps = _series_dps(alpha_bar, l_branches)
     deltas = _delta_mp(alpha_bar, mu, l_branches, count, dps)
     phi0 = alpha_bar * mu * l_branches
@@ -167,6 +167,7 @@ def _series_mp(s: IidAlphaMuSum, w: float) -> float:
     point needs more terms; points beyond the tail cutoff return 0 without
     evaluation.
     """
+    import mpmath as mp
     if _tail_exponent(s, w) > _TAIL_CUTOFF:
         return 0.0
     count = _TRUNCATION
@@ -318,7 +319,7 @@ def _jacobi_from_moments(M: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]
 
 def _quadrature(a: np.ndarray, b: np.ndarray, m0: float):
     """(weights, nodes) of the Jacobi matrix tridiag(b, a, b) of mass m0."""
-    nodes, vecs = sla.eigh_tridiagonal(a, b)
+    nodes, vecs = np.linalg.eigh(np.diag(a) + np.diag(b, 1) + np.diag(b, -1))
     return m0 * vecs[0] ** 2, nodes
 
 
@@ -379,6 +380,7 @@ def solve_mixture_nodes(branches, nu: float, psi: int = 4) -> MixtureNodes:
         raise DomainError("psi must be >= 2")
     if psi > 6:
         raise DomainError("psi > 6 is numerically unsupported")
+    _check_finite("solve_mixture_nodes", nu=nu)
     branches = list(branches)
     if not all(isinstance(b, AlphaMuB) for b in branches):
         raise DomainError("solve_mixture_nodes expects AlphaMuB branches")

@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate
 from scipy import special as sp
 
+from thzdiv import channel_models
 from thzdiv.channel_models import (
     ALPHA_MU_PRESETS,
     MG_PRESETS,
@@ -199,3 +200,49 @@ class TestScenario:
             Scenario(branches=())
         with pytest.raises(DomainError):
             Scenario(branches=(ALL_MODELS[0],), g=0.0)
+
+
+NAN, INF = math.nan, math.inf
+# (call, field it names): every entry point given one NaN or infinite field.
+NON_FINITE = {
+    "AlphaMuA-alpha-nan": (lambda: AlphaMuA(NAN, 1.0), "alpha"),
+    "AlphaMuA-mu-inf": (lambda: AlphaMuA(3.0, INF), "mu"),
+    "AlphaMuA-z_hat-nan": (lambda: AlphaMuA(3.0, 1.0, NAN), "z_hat"),
+    "AlphaMuB-mu-nan": (lambda: AlphaMuB(3.0, NAN), "mu"),
+    "AlphaMuB-x_mean-inf": (lambda: AlphaMuB(3.0, 1.0, INF), "x_mean"),
+    "LinkBudget-f-nan": (lambda: LinkBudget(f=NAN), "f"),
+    "LinkBudget-d-inf": (lambda: LinkBudget(d=INF), "d"),
+    "LinkBudget-kabs-nan": (lambda: LinkBudget(kabs=NAN), "kabs"),
+    "LinkBudget-kabs-inf": (lambda: LinkBudget(kabs=INF), "kabs"),
+    "LinkBudget-pt-inf": (lambda: LinkBudget(pt=INF), "pt"),
+    "path_loss-f-nan": (lambda: path_loss_amplitude(NAN, 10.0), "f"),
+    "path_loss-d-inf": (lambda: path_loss_amplitude(1e11, INF), "d"),
+    "path_loss-kabs-nan": (lambda: path_loss_amplitude(1e11, 10.0, NAN),
+                           "kabs"),
+    "path_loss-rho-nan": (lambda: path_loss_amplitude(1e11, 10.0, 0.0, NAN),
+                          "rho"),
+    "Scenario-g-nan": (lambda: Scenario((ALL_MODELS[0],), g=NAN), "g"),
+    "Scenario-g-inf": (lambda: Scenario((ALL_MODELS[0],), g=INF), "g"),
+    "Scenario-grid-nan": (lambda: Scenario((ALL_MODELS[0],),
+                                           snr_grid=(NAN,)), "snr_grid"),
+    "Scenario-grid-inf": (lambda: Scenario((ALL_MODELS[0],),
+                                           snr_grid=(1.0, INF)), "snr_grid"),
+    "power_pdf-nu-nan": (lambda: power_pdf(ALL_MODELS[0], NAN, 1.0), "nu"),
+    "power_pdf-nu-inf": (lambda: power_pdf(ALL_MODELS[4], INF, 1.0), "nu"),
+    "moment-nu-nan": (lambda: envelope_moment(ALL_MODELS[0], NAN, 2.0), "nu"),
+    "moment-nu-inf": (lambda: envelope_moment(ALL_MODELS[4], INF, 2.0), "nu"),
+    "moment-k-nan": (lambda: envelope_moment(ALL_MODELS[0], 1.0, NAN), "k"),
+    "moment-k-inf": (lambda: envelope_moment(ALL_MODELS[2], 1.0, INF), "k"),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE)
+def test_rejects_non_finite_fields_at_once(monkeypatch, case):
+    # NaN passes no comparison, so each check is written in the positive
+    # form; with the computing helpers gone, only a check made first raises
+    # DomainError.
+    call, field = NON_FINITE[case]
+    for name in ("sp", "_alpha_mu_scale", "_power_leading_terms"):
+        monkeypatch.setattr(channel_models, name, None)
+    with pytest.raises(DomainError, match=field):
+        call()

@@ -1,9 +1,9 @@
 """Every density shares one y >= 0 contract.
 
 A scalar in gives a float out, an array in gives the scalar values element
-by element, y < 0 is a DomainError, and y = 0 takes the limit of the local
-form sum_i c_i y^e_i: 0 for e_i > 0, c_i for e_i = 0, a DomainError for
-e_i < 0.
+by element, y < 0 and NaN are DomainErrors, and y = 0 takes the limit of the
+local form sum_i c_i y^e_i: 0 for e_i > 0, c_i for e_i = 0, a DomainError
+for e_i < 0.
 """
 
 import numpy as np
@@ -89,6 +89,14 @@ class TestDensityContract:
             pdf(-1e-9)
         with pytest.raises(DomainError):
             pdf(np.array([1.0, -0.5]))
+
+    def test_nan_argument_rejected(self, case):
+        # Regression: NaN is not > 0, so it used to take the y = 0 limit.
+        pdf = _density(case, *POSITIVE)
+        with pytest.raises(DomainError):
+            pdf(np.nan)
+        with pytest.raises(DomainError):
+            pdf(np.array([1.0, np.nan]))
 
     def test_positive_exponent_vanishes_at_zero(self, case):
         assert _density(case, *POSITIVE)(0.0) == 0.0

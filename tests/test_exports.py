@@ -1,6 +1,7 @@
 """Each public name is declared once, in its module's __all__, and resolves."""
 
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -32,13 +33,57 @@ def test_package_exports_exactly_the_module_lists():
     assert sorted(thzdiv.__all__) == sorted(names)
 
 
-def test_cli_import_skips_unused_scipy_modules():
-    # scipy.optimize serves one Brent root and scipy.integrate a test
-    # oracle; each is imported by the call that uses it.
-    code = ("import sys, thzdiv.cli; print(sorted(set(sys.modules) & "
-            "{'scipy.optimize', 'scipy.integrate'}))")
+def _run_fresh(code: str, *args: str) -> str:
     src = str(Path(thzdiv.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          check=True, capture_output=True, text=True).stdout
+
+
+def test_cli_import_skips_unused_scipy_modules():
+    # scipy.optimize serves one Brent root, scipy.integrate a test oracle
+    # and mpmath the form-A delta series; each is imported by the call that
+    # uses it.  The Radau rule's eigenpairs come from numpy.
+    code = ("import sys, thzdiv.cli; print(sorted(set(sys.modules) & "
+            "{'scipy.optimize', 'scipy.integrate', 'scipy.linalg', "
+            "'mpmath'}))")
+    assert _run_fresh(code).strip() == "[]"
+
+
+FRESH_CURVES = """
+import json, sys
+from thzdiv import cli
+loaded = ['mpmath' in sys.modules]
+for scenario, out in zip(sys.argv[1::2], sys.argv[2::2]):
+    assert cli.main(['ber', '--scenario', scenario, '--method', 'exact',
+                     '--out', out]) == 0
+    loaded.append('mpmath' in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_fresh_process_loads_mpmath_with_the_first_delta_series(tmp_path):
+    from thzdiv import cli
+    grid = {"start": 0.0, "stop": 20.0, "step": 10.0}
+    scenarios = {
+        "form_b": {"branches": [{"type": "alpha_mu_b", "preset": "indoor_1",
+                                 "x_mean": x} for x in (0.8, 1.25)],
+                   "snr_db": grid},
+        "form_a": {"branches": [{"preset": "indoor_1", "copies": 2}],
+                   "snr_db": grid},
+    }
+    args = []
+    for name, scenario in scenarios.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(scenario))
+        args += [str(path), str(tmp_path / f"{name}-fresh.csv")]
+    # Form B first: its mixture solve needs no mpmath, form A's series does.
+    # cli.main reports each file it writes on stdout, before the flags.
+    loaded = json.loads(_run_fresh(FRESH_CURVES, *args).splitlines()[-1])
+    assert loaded == [False, False, True]
+    for name in scenarios:
+        here = tmp_path / f"{name}-here.csv"
+        assert cli.main(["ber", "--scenario", str(tmp_path / f"{name}.json"),
+                         "--method", "exact", "--out", str(here)]) == 0
+        assert (tmp_path / f"{name}-fresh.csv").read_bytes() == \
+            here.read_bytes()

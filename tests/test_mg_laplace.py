@@ -1,10 +1,13 @@
 """Laplace transform of the squared mixture-of-gamma SNR density."""
 
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
 
+from thzdiv import mg_laplace
 from thzdiv.channel_models import envelope_moment, mg_preset
 from thzdiv.errors import DomainError, EvaluationError
 from thzdiv.mg_laplace import (
@@ -66,15 +69,48 @@ class TestSnrDensity:
         with pytest.raises(DomainError):
             snr_pdf_mg(_snr(CONFIGS[0], 1.0), -1.0)
 
+    @pytest.mark.parametrize("field,upsilon,nu", [
+        ("upsilon", math.nan, 1.0), ("upsilon", math.inf, 1.0),
+        ("nu", 10.0, math.nan), ("nu", 10.0, math.inf)])
+    def test_rejects_non_finite_arguments(self, monkeypatch, field, upsilon,
+                                          nu):
+        monkeypatch.setattr(mg_laplace, "sp", None)
+        with pytest.raises(DomainError, match=field):
+            SquaredMgSnr.from_model(CONFIGS[0], upsilon, nu)
+
+
+@pytest.mark.parametrize("transform", [laplace_exact_series,
+                                       laplace_high_snr])
+@pytest.mark.parametrize("s_arg", [math.nan, np.array([1.0, math.nan])])
+def test_transforms_reject_nan_argument_at_once(monkeypatch, transform, s_arg):
+    s = _snr(CONFIGS[0], 10.0)
+    monkeypatch.setattr(mg_laplace, "sp", None)
+    with pytest.raises(DomainError):
+        transform(s, s_arg)
+
+
+@pytest.mark.parametrize("s_arg", [math.nan, math.inf, -1.0])
+def test_oracle_rejects_bad_argument_before_integrating(s_arg):
+    # No density: the quadrature's first evaluation would fail otherwise.
+    with pytest.raises(DomainError):
+        laplace_numeric_oracle(None, s_arg)
+
+
+# (upsilon, s) points of the oracle comparison; the s = 1 ids name upsilon
+# alone.  At s = 10 and upsilon >= 1e3 the transform falls to 4e-17..2e-11,
+# where only a relative tolerance tells a right value from a wrong one.
+ORACLE_POINTS = [pytest.param(u, x, id=str(u) if x == 1.0 else f"{u}-s{x:g}")
+                 for x in (1.0, 10.0) for u in (10.0, 1e3, 1e4)]
+
 
 class TestExactSeries:
     @pytest.mark.parametrize("cfg", CONFIGS, ids=["c1", "c2", "c3", "c4"])
-    @pytest.mark.parametrize("upsilon", [10.0, 1e3])
-    def test_agrees_with_numeric_oracle(self, cfg, upsilon):
+    @pytest.mark.parametrize("upsilon,s_arg", ORACLE_POINTS)
+    def test_agrees_with_numeric_oracle(self, cfg, upsilon, s_arg):
         s = _snr(cfg, upsilon)
-        exact = laplace_exact_series(s, 1.0)
-        oracle = laplace_numeric_oracle(lambda y: snr_pdf_mg(s, y), 1.0)
-        assert exact == pytest.approx(oracle, rel=1e-6, abs=1e-12)
+        exact = laplace_exact_series(s, s_arg)
+        oracle = laplace_numeric_oracle(lambda y: snr_pdf_mg(s, y), s_arg)
+        assert exact == pytest.approx(oracle, rel=1e-6, abs=0.0)
 
     def test_frozen_value(self):
         s = _snr(CONFIGS[0], 1e4)

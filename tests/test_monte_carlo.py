@@ -55,6 +55,12 @@ class TestSamplers:
         with pytest.raises(DomainError):
             sample_branch_envelope(RAYLEIGH, 0.0, stream)
 
+    @pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_nu_before_drawing(self, nu):
+        # No stream: a draw before the check would fail otherwise.
+        with pytest.raises(DomainError, match="nu"):
+            sample_branch_envelope(RAYLEIGH, nu, None, 10)
+
 
 @pytest.fixture(scope="module")
 def rayleigh_scenario():

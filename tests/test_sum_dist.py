@@ -210,6 +210,13 @@ class TestMixtureNodes:
             assert inid_sum_power_pdf(nodes, y) == pytest.approx(
                 conv(y), rel=0.01)
 
+    @pytest.mark.parametrize("nu", [math.nan, math.inf, 0.0])
+    def test_rejects_bad_nu_at_once(self, monkeypatch, nu):
+        monkeypatch.setattr(sum_dist, "_normalized_sum_moments", None)
+        branches = [alpha_mu_b_preset("indoor_1", x_mean=x) for x in (1, 2)]
+        with pytest.raises(DomainError, match="nu"):
+            solve_mixture_nodes(branches, nu=nu)
+
     def test_requires_common_alpha(self):
         mixed = [alpha_mu_b_preset("indoor_1"), alpha_mu_b_preset("indoor_2")]
         with pytest.raises(DomainError):
@@ -313,6 +320,38 @@ class TestRadauMember:
             c, w = _radau_member(a, b, tau, moments[0])
             np.testing.assert_allclose(c, weights, rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(w, nodes, rtol=1e-12, atol=0.0)
+
+
+# The form-B systems of the benchmark: indoor_1 at L = 2, 3, 4 and indoor_2
+# at L = 3, at unit scale.
+BENCH_PROFILES = [("indoor_1", (0.8, 1.25)), ("indoor_1", (0.8, 1.0, 1.25)),
+                  ("indoor_1", (0.8, 0.9, 1.1, 1.25)),
+                  ("indoor_2", (0.8, 1.0, 1.25))]
+
+
+@pytest.mark.parametrize("preset,x_means", BENCH_PROFILES)
+def test_quadrature_matches_the_tridiagonal_eigensolver(monkeypatch, preset,
+                                                        x_means):
+    # numpy's dense eigh serves the solve; scipy's tridiagonal solver is
+    # only the reference.  Every Jacobi matrix and Radau member the solve
+    # forms passes through _quadrature and is checked against it.
+    from scipy.linalg import eigh_tridiagonal
+    quadrature, sizes = sum_dist._quadrature, []
+
+    def checked(a, b, m0):
+        weights, nodes = quadrature(a, b, m0)
+        ref_nodes, vecs = eigh_tridiagonal(a, b)
+        np.testing.assert_allclose(nodes, ref_nodes, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(weights, m0 * vecs[0] ** 2, rtol=1e-14,
+                                   atol=0.0)
+        sizes.append(a.size)
+        return weights, nodes
+
+    monkeypatch.setattr(sum_dist, "_quadrature", checked)
+    nodes = solve_mixture_nodes(
+        [alpha_mu_b_preset(preset, x_mean=x) for x in x_means], nu=1.0)
+    # One Gauss rule, then the Radau members of the bracket and the root.
+    assert sizes.count(nodes.psi) > 2
 
 
 def _sweep_systems():
