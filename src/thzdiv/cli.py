@@ -371,8 +371,11 @@ def write_curve_csv(curve: BerCurve, path: str):
 
 
 def read_curve_csv(path: str) -> BerCurve:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path) as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"{path}: cannot read curve file: {exc}") from exc
     if not lines or lines[0] != CSV_HEADER:
         raise ScenarioError(f"{path}: expected header '{CSV_HEADER}'")
     points = []
@@ -382,7 +385,10 @@ def read_curve_csv(path: str) -> BerCurve:
         if len(cols) != 7:
             raise ScenarioError(f"{path}: malformed row {ln!r}")
         _, u, ber, se, method, _, _ = cols
-        points.append(BerPoint(float(u), float(ber), float(se), 1))
+        try:
+            points.append(BerPoint(float(u), float(ber), float(se), 1))
+        except ValueError as exc:  # a non-numeric cell or a DomainError
+            raise ScenarioError(f"{path}: row {ln!r}: {exc}") from exc
     return BerCurve(tuple(points), seed=0, method=method)
 
 

@@ -51,8 +51,11 @@ class BerPoint:
     trials: int
 
     def __post_init__(self):
-        if not (0.0 <= self.ber <= 1.0) or self.se < 0.0 or self.trials < 1:
-            raise DomainError("BerPoint requires ber in [0,1], se >= 0, trials >= 1")
+        # Written so that NaN fails every check.
+        if not (0.0 < self.upsilon < math.inf and 0.0 <= self.ber <= 1.0
+                and 0.0 <= self.se < math.inf and self.trials >= 1):
+            raise DomainError("BerPoint requires 0 < upsilon < inf, ber in "
+                              "[0,1], 0 <= se < inf, trials >= 1")
 
 
 @dataclass(frozen=True)

@@ -45,9 +45,8 @@ _TAIL_CUTOFF = 30.0
 # Accuracy iid_sum_power_pdf promises (see there).
 _RTOL, _ATOL = 1e-9, 1e-14
 
-# Float series terms; the high-precision path extends the table up to 4x.
+# Series terms (fewer in float, where they underflow); mpmath extends to 4x.
 _TRUNCATION = 400
-_SERIES_BLOCK = 128  # points per (terms x points) table of the float series
 
 
 def _series_dps(alpha_bar: float, l_branches: int) -> int:
@@ -114,6 +113,7 @@ class IidAlphaMuSum:
         if not np.all(np.isfinite(coeffs)):
             bad = int(np.argmax(~np.isfinite(coeffs)))
             raise EvaluationError(f"series coefficient overflow at index {bad}")
+        coeffs = coeffs[:np.flatnonzero(coeffs)[-1] + 1]  # rest underflowed
         return cls(alpha_bar=ab, mu=model.mu, z_bar=zb, l_branches=l_branches,
                    coeffs=coeffs)
 
@@ -163,77 +163,67 @@ def _tail_exponent(s: IidAlphaMuSum, w: float) -> float:
 def _series_mp(s: IidAlphaMuSum, w: float) -> float:
     """High-precision evaluation of g at one point w = y/z_bar.
 
-    Extends the cached coefficient table (up to 4x _TRUNCATION) when the
-    point needs more terms; points beyond the tail cutoff return 0 without
-    evaluation.
+    Horner's rule over the cached coefficient table, extended (up to 4x
+    _TRUNCATION) while its last term is not negligible; points beyond the
+    tail cutoff return 0 without evaluation.
     """
     import mpmath as mp
     if _tail_exponent(s, w) > _TAIL_CUTOFF:
         return 0.0
-    count = _TRUNCATION
-    dps = _series_dps(s.alpha_bar, s.l_branches)
-    while True:
-        coeffs = _mp_coeffs(s.alpha_bar, s.mu, s.l_branches, count)
-        with mp.workdps(dps):
-            base = mp.mpf(w) ** mp.mpf(s.alpha_bar)
-            acc, power, small_streak = mp.mpf(0), mp.mpf(1), 0
-            for i, e in enumerate(coeffs):
-                term = e * power
-                acc += term
-                power *= base
-                if i > 4 and abs(term) < mp.mpf("1e-30") * abs(acc):
-                    small_streak += 1
-                    if small_streak >= 3:
-                        pref = mp.e**(mp.mpf(s._ln_w_prefactor)
-                                      + (s.phi0 - 1.0) * mp.log(mp.mpf(w)))
-                        return float(pref * acc)
-                else:
-                    small_streak = 0
-            achieved = float(abs(term) / max(abs(acc), mp.mpf("1e-300")))
-        if count >= 4 * _TRUNCATION:
-            raise AccuracyError(f"series truncation {count} insufficient "
-                                f"at w={w:g}", achieved=achieved)
-        count *= 2
+    with mp.workdps(_series_dps(s.alpha_bar, s.l_branches)):
+        x = mp.mpf(w) ** mp.mpf(s.alpha_bar)
+        for count in (_TRUNCATION, 2 * _TRUNCATION, 4 * _TRUNCATION):
+            coeffs = _mp_coeffs(s.alpha_bar, s.mu, s.l_branches, count)
+            p = mp.polyval(coeffs[::-1], x)
+            achieved = float(abs(coeffs[-1] * x ** (count - 1))
+                             / max(abs(p), mp.mpf("1e-300")))
+            if achieved < 1e-30:
+                return float(p * mp.e**(mp.mpf(s._ln_w_prefactor)
+                                        + (s.phi0 - 1.0) * mp.log(mp.mpf(w))))
+    raise AccuracyError(f"series truncation {count} insufficient at w={w:g}",
+                        achieved=achieved)
 
 
 def iid_sum_power_pdf(s: IidAlphaMuSum, y):
     """PDF of the i.i.d. alpha-mu power sum at y >= 0 (series evaluation).
 
-    f(y) = g(y/z_bar)/z_bar, g evaluated in float64 with a per-point rounding
-    error estimate; points where it exceeds _RTOL*|g| + _ATOL are recomputed
+    f(y) = g(y/z_bar)/z_bar, g evaluated in float64 with a running rounding
+    error bound; points where it exceeds _RTOL*|g| + _ATOL are recomputed
     in mpmath, so the choice is the same at every scale.
     """
-    return _eval_pointwise(y, lambda x: _series_float_block(s, x / s.z_bar)
+    return _eval_pointwise(y, lambda x: _series_float(s, x / s.z_bar)
                            / s.z_bar, math.exp(s.ln_prefactor) * s.coeffs[0],
                            s.phi0 - 1.0)
 
 
-def _series_float_block(s: IidAlphaMuSum, w: np.ndarray) -> np.ndarray:
-    pref = math.exp(s._ln_w_prefactor)
-    k = np.arange(s.coeffs.size)[:, None] * s.alpha_bar + s.phi0 - 1.0
-    vals = np.empty_like(w)
-    for i in range(0, w.size, _SERIES_BLOCK):
-        blk = w[i:i + _SERIES_BLOCK]
-        # Overflow at large w only marks the point for the high-precision path.
-        with np.errstate(over="ignore", invalid="ignore"):
-            ln_power = k * np.log(blk)
-            term = s.coeffs[:, None] * np.exp(ln_power)
-            mag = np.abs(term)
-            acc = np.add.accumulate(term)
-            # exp(k ln w) carries a relative rounding error of about
-            # eps*(1 + |k ln w|), so eps * errsum estimates the sum's.
-            errsum = np.add.accumulate(mag * (1.0 + np.abs(ln_power)))
-            small = mag <= 1e-16 * np.maximum(np.abs(acc), 1e-300)
-        # A point's sum stops at its first run of three small terms.
-        run = small[2:] & small[1:-1] & small[:-2]
-        stop, cols = np.argmax(run, axis=0) + 2, np.arange(blk.size)
-        v = pref * acc[stop, cols]
-        err = pref * errsum[stop, cols] * 2.2e-16
-        need_mp = (~run.any(axis=0) | (err > _RTOL * np.abs(v) + _ATOL)
-                   | ~np.isfinite(v))
-        v[need_mp] = [_series_mp(s, float(x)) for x in blk[need_mp]]
-        vals[i:i + _SERIES_BLOCK] = v
-    return vals
+def _series_float(s: IidAlphaMuSum, w: np.ndarray) -> np.ndarray:
+    """g(w) = pref w^(phi0-1) P(x), x = w^alpha_bar, by Horner's rule.
+
+    bound is Higham's running bound on P's rounding (Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., Alg. 5.1); u*d, d = sum i|c_i|x^i,
+    bounds the effect of rounding x.  A point goes to mpmath when the bound
+    fails the promised tolerance, the value is not finite or the last term
+    is not negligible.
+    """
+    c, u = s.coeffs, np.finfo(float).eps / 2
+    # Overflow at large w only marks the point for the high-precision path.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x = w ** s.alpha_bar
+        p = np.full_like(w, c[-1])
+        bound = np.abs(p) / 2
+        for ci in c[-2::-1]:
+            p = p * x + ci
+            bound = x * bound + np.abs(p)
+        d = np.polynomial.polynomial.polyval(x, np.arange(c.size) * np.abs(c))
+        ln_w = np.log(w)
+        scale = np.exp(s._ln_w_prefactor + (s.phi0 - 1.0) * ln_w)
+        g = scale * p
+        err = scale * u * (2 * bound - np.abs(p) + d)
+        ln_last = math.log(abs(c[-1])) + (c.size - 1) * s.alpha_bar * ln_w
+        ok = ((err <= _RTOL * np.abs(g) + _ATOL) & np.isfinite(g)
+              & (ln_last < np.log(1e-16 * np.abs(p))))
+    g[~ok] = [_series_mp(s, float(v)) for v in w[~ok]]
+    return g
 
 
 # --- moments of the sum ------------------------------------------------------

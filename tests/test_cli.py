@@ -310,6 +310,25 @@ class TestOtherSubcommands:
         assert err.startswith(f"error: {flag}") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("row", [
+        None, "0,abc,0.1,0,exact,,", "-7,-5,0.1,0,exact,,",
+        "0,nan,0.1,0,exact,,", "0,1,0.1,inf,exact,,",
+    ], ids=["missing_file", "non_numeric", "negative_upsilon", "nan_upsilon",
+            "inf_se"])
+    def test_fit_rejects_bad_csv(self, tmp_path, capsys, row):
+        csv = tmp_path / "c.csv"
+        if row is not None:
+            csv.write_text(f"{CSV_HEADER}\n10,10,0.01,0,exact,,\n{row}\n")
+        out = tmp_path / "fit.json"
+        rc = main(["fit", "--csv", str(csv), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"scenario error: {csv}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        if row is not None:
+            assert repr(row) in err
+        assert not out.exists()
+
     def test_missing_scenario_file(self, tmp_path, capsys):
         rc = main(["ber", "--scenario", str(tmp_path / "nope.json"),
                    "--method", "exact", "--out", str(tmp_path / "o.csv")])

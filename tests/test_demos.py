@@ -1,15 +1,19 @@
-"""The Python demos run end to end and print their conclusions.
+"""The demos run end to end and print their conclusions.
 
-demos/cli_walkthrough.sh calls the installed ``thzdiv`` console script, so it
-is not run here.
+demos/cli_walkthrough.sh calls the ``thzdiv`` console script; the test puts a
+shim that runs ``python -m thzdiv.cli`` on PATH, so no install is needed.
 """
 
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 
 
 @pytest.mark.parametrize("script,expect", [
@@ -19,3 +23,19 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 def test_demo_runs(capsys, script, expect):
     runpy.run_path(str(DEMOS / script), run_name="__main__")
     assert expect in capsys.readouterr().out
+
+
+def test_cli_walkthrough_runs(tmp_path):
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    shim = bin_dir / "thzdiv"
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m thzdiv.cli "$@"\n')
+    shim.chmod(0o755)
+    path = os.pathsep.join([str(bin_dir), os.environ["PATH"]])
+    env = dict(os.environ, PATH=path, PYTHONPATH=str(ROOT / "src"),
+               TMPDIR=str(tmp_path))
+    proc = subprocess.run(["sh", str(DEMOS / "cli_walkthrough.sh")], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert '"passed": true' in proc.stdout
+    assert not any(ln.startswith("FAIL") for ln in proc.stdout.splitlines())

@@ -133,6 +133,14 @@ class TestCurveContainers:
             BerPoint(1.0, 1.5, 0.0, 10)
         with pytest.raises(DomainError):
             BerPoint(1.0, 0.1, -1.0, 10)
+        for upsilon in (math.nan, math.inf, -1.0, 0.0):
+            with pytest.raises(DomainError):
+                BerPoint(upsilon, 0.1, 0.0, 10)
+        for se in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                BerPoint(1.0, 0.1, se, 10)
+        with pytest.raises(DomainError):
+            BerPoint(1.0, math.nan, 0.0, 10)
 
     def test_curve_requires_ascending_upsilon(self):
         p1 = BerPoint(1.0, 0.1, 0.0, 10)

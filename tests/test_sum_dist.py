@@ -107,56 +107,46 @@ class TestIidSeries:
         assert s.coeffs[0] == pytest.approx(
             math.gamma(am) ** 2 / math.gamma(2 * am), rel=1e-12)
 
-    @pytest.mark.parametrize("preset", ["indoor_1", "indoor_2"])
-    @pytest.mark.parametrize("L", [1, 2, 3, 4])
-    def test_float_values_keep_the_promised_tolerance(self, preset, L):
-        # Near y ~ 4-7 the alternating series cancels; a float value the
-        # error estimate accepts must still be within rtol = 1e-9 (plus the
-        # 1e-14 floor) of the high-precision evaluation.
-        s = IidAlphaMuSum.build(alpha_mu_a_preset(preset), 1.0, L)
-        ys = np.linspace(0.05, 12.0, 30) * L / 2
+    @staticmethod
+    def assert_float_values_within_tolerance(s, ys):
+        # A float value the error bound accepts must be within rtol = 1e-9
+        # (plus the 1e-14 floor) of the high-precision evaluation.
         vals = iid_sum_power_pdf(s, ys)
         ref = np.array([_series_mp(s, float(y)) for y in ys])
         assert np.all(np.abs(vals - ref) <= 1e-9 * np.abs(ref) + 1e-14)
 
-    def test_term_table_equals_the_term_loop_bit_for_bit(self):
-        # Reference: the per-term loop with done/streak masks that the
-        # (terms x points) table replaced; its sums are the table's.
-        s = IidAlphaMuSum.build(INDOOR_1, nu=1.0, l_branches=2)
-        w = np.linspace(1e-3, 4.5, 2 * sum_dist._SERIES_BLOCK + 7) / s.z_bar
-        acc, errsum = np.zeros_like(w), np.zeros_like(w)
-        done, streak = np.zeros_like(w, dtype=bool), np.zeros_like(w, int)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i, e in enumerate(s.coeffs):
-                ln_power = (i * s.alpha_bar + s.phi0 - 1.0) * np.log(w)
-                term = e * np.exp(ln_power)
-                acc = np.where(done, acc, acc + term)
-                errsum = np.where(done, errsum, errsum + np.abs(term)
-                                  * (1.0 + np.abs(ln_power)))
-                small = np.abs(term) <= 1e-16 * np.maximum(np.abs(acc),
-                                                           1e-300)
-                streak = np.where(small, streak + 1, 0)
-                done |= streak >= 3
-        pref = math.exp(s._ln_w_prefactor)
-        ref, err = pref * acc, pref * errsum * 2.2e-16
-        float_ok = done & (err <= 1e-9 * np.abs(ref) + 1e-14) & np.isfinite(ref)
-        out = sum_dist._series_float_block(s, w)
-        assert float_ok.sum() > 0.9 * w.size
-        assert np.array_equal(out[float_ok].view(np.uint64),
-                              ref[float_ok].view(np.uint64))
+    @pytest.mark.parametrize("preset", ["indoor_1", "indoor_2"])
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    def test_float_values_keep_the_promised_tolerance(self, preset, L):
+        # Near y ~ 4-7 the alternating series cancels, and further out the
+        # points go to mpmath.
+        s = IidAlphaMuSum.build(alpha_mu_a_preset(preset), 1.0, L)
+        self.assert_float_values_within_tolerance(
+            s, np.linspace(0.005, 7.0, 300) * L)
+
+    @settings(max_examples=4, deadline=None)
+    @given(alpha=st.floats(1.0, 6.0), mu=st.floats(0.3, 3.0),
+           L=st.integers(1, 3))
+    def test_float_values_keep_the_tolerance_on_any_model(self, alpha, mu, L):
+        # Up to the tail cutoff, beyond which every point is 0.
+        s = IidAlphaMuSum.build(AlphaMuA(alpha=alpha, mu=mu), 1.0, L)
+        w_max = (sum_dist._TAIL_CUTOFF / sum_dist._tail_exponent(s, 1.0)) ** (
+            1.0 / s.alpha_bar)
+        self.assert_float_values_within_tolerance(
+            s, np.linspace(0.005, 1.0, 60) * w_max)
 
     def test_grid_equals_points_bit_for_bit(self):
-        # Each point's sum is its own column of the term table, so a grid of
-        # several blocks gives the bits of one point at a time.
+        # Horner's rule runs point by point, so a grid gives the bits of
+        # one point at a time.
         s = IidAlphaMuSum.build(INDOOR_1, nu=1.0, l_branches=2)
-        ys = np.linspace(1e-3, 4.5, 3 * sum_dist._SERIES_BLOCK + 7)
+        ys = np.linspace(1e-3, 4.5, 391)
         grid = iid_sum_power_pdf(s, ys)
         each = np.array([iid_sum_power_pdf(s, float(y)) for y in ys])
         assert np.array_equal(grid.view(np.uint64), each.view(np.uint64))
 
     def test_grid_memory_is_bounded(self):
-        # One (terms x points) table over all 10 000 points would take
-        # about 214 MB; blocks of _SERIES_BLOCK points bound it.
+        # Horner's rule holds a few arrays of the grid's size: 10 000
+        # points peak near 1.1 MB; a (terms x points) table would not fit.
         s = IidAlphaMuSum.build(INDOOR_1, nu=1.0, l_branches=2)
         ys = np.linspace(1e-3, 3.0, 10_000)
         tracemalloc.start()
@@ -165,7 +155,7 @@ class TestIidSeries:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16e6
+        assert peak < 2e6
 
     def test_rejects_bad_build(self):
         with pytest.raises(DomainError):
