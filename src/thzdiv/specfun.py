@@ -181,14 +181,14 @@ def fox_h(params: FoxHParams, z):
 
 
 def _nested_trapezoid(f, a: float, b: float, n: int, rtol: float,
-                      levels: int):
+                      levels: int, normwise: bool = False):
     """Trapezoid rule for int_a^b f dt, halving the step until two levels agree.
 
     Starts from n intervals; a halving evaluates f only at the previous
     level's midpoints.  f maps an array of t to values with t on the first
     axis; trailing axes are integrated componentwise, and every component
-    must agree to rtol.  Raises AccuracyError when ``levels`` halvings do
-    not suffice.
+    must agree to rtol of itself, or of the largest one with ``normwise``.
+    Raises AccuracyError when ``levels`` halvings do not suffice.
     """
     h = (b - a) / n
     vals = f(np.linspace(a, b, n + 1))
@@ -199,9 +199,10 @@ def _nested_trapezoid(f, a: float, b: float, n: int, rtol: float,
         h, n = 0.5 * h, 2 * n
         prev, est = est, h * total
         gap = np.abs(est - prev)
-        if np.all(gap <= rtol * np.abs(est)):
+        ref = np.max(np.abs(est)) if normwise else np.abs(est)
+        if np.all(gap <= rtol * ref):
             return est
-    achieved = float(np.max(gap / np.maximum(np.abs(est), 1e-300)))
+    achieved = float(np.max(gap / np.maximum(ref, 1e-300)))
     raise AccuracyError(
         f"trapezoid rule did not reach rtol={rtol:g} in {levels} halvings "
         f"(achieved {achieved:g})", achieved=achieved)

@@ -33,10 +33,10 @@ from thzdiv.mg_laplace import SquaredMgSnr, laplace_exact_series
 from thzdiv.specfun import q_function
 from thzdiv.sum_dist import (
     IidAlphaMuSum,
-    convolution_oracle,
     iid_sum_power_pdf,
     inid_sum_power_pdf,
     solve_mixture_nodes,
+    sum_power_pdf,
 )
 
 RAYLEIGH = AlphaMuA(alpha=2.0, mu=1.0, z_hat=1.0)
@@ -305,17 +305,13 @@ class TestMgMgf:
 
     def test_matches_direct_quadrature(self):
         # Dual route: Craig-form MGF product vs numeric integration of
-        # Q against the convolved SNR density.
+        # Q against the sum density by Laplace inversion (2.1e-8 apart).
         u = 0.003
         branches = [self.CFG1] * 2
-        # The MG power support spans ~1e6, so the oracle needs a fine grid.
-        conv = convolution_oracle(
-            [lambda y: power_pdf(self.CFG1, 1.0, y)] * 2, y_max=8e5, n=2**17)
-        direct, _ = integrate.quad(
-            lambda y: conv(y) * float(q_function(math.sqrt(2.0 * u * y))),
-            0.0, conv.y[-1], limit=600)
+        direct = ber_exact_quadrature(
+            lambda y: sum_power_pdf(branches, 1.0, y), u, g=1.0)
         mgf = ber_mg_mgf(branches, 1.0, 2, u, g=1.0)
-        assert mgf == pytest.approx(direct, rel=2e-3)
+        assert mgf == pytest.approx(direct, rel=1e-7)
 
     def test_closed_form_at_low_snr(self):
         # -40 dB: zeta / sqrt(Upsilon s) reaches about 15, where a residue

@@ -258,6 +258,20 @@ class TestOtherSubcommands:
         assert [float(v) for _, v in rows] == [float(pdf(float(y)))
                                                for y, _ in rows]
 
+    @pytest.mark.parametrize("config", ["mg_config3", "mg_config4"])
+    def test_pdf_tabulates_an_mg_pair_on_the_default_grid(self, tmp_path,
+                                                           config):
+        # Regression: the convolution table once covered only 0.986 and
+        # 0.696 of these branches' mass, and pdf exited 1.
+        scn = write_scn(tmp_path, dict(SCN_MG, branches=[
+            {"preset": config, "copies": 2}]))
+        out = tmp_path / "pdf.csv"
+        assert main(["pdf", "--scenario", scn, "--out", str(out)]) == 0
+        vals = [float(row.split(",")[1])
+                for row in out.read_text().splitlines()[1:]]
+        assert len(vals) == 200
+        assert all(math.isfinite(v) and v >= 0.0 for v in vals)
+
     def test_fit_subcommand(self, tmp_path):
         # Synthesize an exact curve CSV, then fit it back.
         lines = [CSV_HEADER]

@@ -23,6 +23,7 @@ from thzdiv.sum_dist import (
     iid_sum_power_pdf,
     inid_sum_power_pdf,
     solve_mixture_nodes,
+    sum_power_pdf,
 )
 
 
@@ -31,7 +32,7 @@ def _mg(beta):
 
 
 CASES = ["envelope_a", "envelope_b", "envelope_mg", "power_a", "power_b",
-         "power_mg", "iid_sum", "inid_sum", "snr_mg"]
+         "power_mg", "iid_sum", "inid_sum", "power_sum", "snr_mg"]
 
 
 def _density(case, alpha, mu, beta):
@@ -62,6 +63,11 @@ def _density(case, alpha, mu, beta):
                                      AlphaMuB(alpha, mu / 2, x_mean=1.1)],
                                     1.0, psi=2)
         return lambda y: inid_sum_power_pdf(nodes, y)
+    if case == "power_sum":
+        # The same two branches' true sum, by Laplace inversion.
+        branches = [AlphaMuB(alpha, mu / 2, x_mean=0.8),
+                    AlphaMuB(alpha, mu / 2, x_mean=1.1)]
+        return lambda y: sum_power_pdf(branches, 1.0, y)
     snr = SquaredMgSnr.from_model(_mg(beta), 2.0, 1.0)
     return lambda y: snr_pdf_mg(snr, y)
 

@@ -50,6 +50,27 @@ def test_cli_import_skips_unused_scipy_modules():
     assert _run_fresh(code).strip() == "[]"
 
 
+FRESH_MG_PDF = """
+import json, sys
+from thzdiv import cli
+assert cli.main(['pdf', '--scenario', sys.argv[1], '--points', '20',
+                 '--out', sys.argv[2]]) == 0
+print(json.dumps(sorted(set(sys.modules) & {'scipy.integrate', 'mpmath'})))
+"""
+
+
+def test_fresh_mg_sum_density_loads_no_quadrature_library(tmp_path):
+    # The MG sum density inverts Laplace transforms with the library's own
+    # DE rule: neither QUADPACK nor mpmath.
+    scenario = tmp_path / "mg.json"
+    scenario.write_text(json.dumps({
+        "branches": [{"preset": "mg_config1", "copies": 2}],
+        "snr_db": {"start": 0.0, "stop": 10.0, "step": 10.0}}))
+    out = _run_fresh(FRESH_MG_PDF, str(scenario), str(tmp_path / "pdf.csv"))
+    assert json.loads(out.splitlines()[-1]) == []
+    assert len((tmp_path / "pdf.csv").read_text().splitlines()) == 21
+
+
 FRESH_CURVES = """
 import json, sys
 from thzdiv import cli

@@ -1,4 +1,4 @@
-"""Distribution of the MRC statistic ||h||^2: series, mixture, oracle."""
+"""Distribution of the MRC statistic ||h||^2: series, mixture, inversion."""
 
 import math
 import tracemalloc
@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from thzdiv import sum_dist
+from thzdiv import cli, sum_dist
 from thzdiv.ber_analytic import ber_alpha_mu_gen_foxh
 from thzdiv.channel_models import (
     AlphaMuA,
@@ -17,6 +17,7 @@ from thzdiv.channel_models import (
     alpha_mu_a_preset,
     alpha_mu_b_preset,
     envelope_moment,
+    mg_preset,
     power_pdf,
 )
 from thzdiv.errors import DomainError
@@ -27,11 +28,11 @@ from thzdiv.sum_dist import (
     _quadrature,
     _radau_member,
     _series_mp,
-    convolution_oracle,
     iid_sum_power_pdf,
     inid_sum_power_pdf,
     moments_of_sum,
     solve_mixture_nodes,
+    sum_power_pdf,
 )
 
 INDOOR_1 = alpha_mu_a_preset("indoor_1")
@@ -59,12 +60,13 @@ class TestIidSeries:
             L * envelope_moment(INDOOR_1, 1.0, 2.0), rel=1e-6)
 
     def test_matches_convolution_oracle(self):
+        # The true sum density, by Laplace inversion (2.0e-8 apart here).
         L = 2
         s = IidAlphaMuSum.build(INDOOR_1, nu=1.0, l_branches=L)
-        conv = convolution_oracle([lambda y: power_pdf(INDOOR_1, 1.0, y)] * L)
-        for y in np.linspace(0.25, 4.0, 8):
-            assert iid_sum_power_pdf(s, y) == pytest.approx(
-                conv(y), rel=5e-3)
+        ys = np.linspace(0.25, 4.0, 8)
+        np.testing.assert_allclose(iid_sum_power_pdf(s, ys),
+                                   sum_power_pdf([INDOOR_1] * L, 1.0, ys),
+                                   rtol=1e-6, atol=0.0)
 
     def test_frozen_value(self):
         # Route-independent spot value (agrees with the convolution oracle).
@@ -192,13 +194,13 @@ class TestMixtureNodes:
             assert num == pytest.approx(moments[n], rel=1e-4)
 
     def test_matches_convolution_oracle(self, nodes):
+        # Against the true sum density the mixture is 1.2e-6 off here.
         branches = [alpha_mu_b_preset("indoor_1"),
                     alpha_mu_b_preset("indoor_1", x_mean=0.8)]
-        conv = convolution_oracle(
-            [lambda y, b=b: power_pdf(b, 1.0, y) for b in branches])
-        for y in np.linspace(0.2, 2.5, 6):
-            assert inid_sum_power_pdf(nodes, y) == pytest.approx(
-                conv(y), rel=0.01)
+        ys = np.linspace(0.2, 2.5, 6)
+        np.testing.assert_allclose(inid_sum_power_pdf(nodes, ys),
+                                   sum_power_pdf(branches, 1.0, ys),
+                                   rtol=1e-5, atol=0.0)
 
     @pytest.mark.parametrize("nu", [math.nan, math.inf, 0.0])
     def test_rejects_bad_nu_at_once(self, monkeypatch, nu):
@@ -380,23 +382,88 @@ class TestMixtureSweep:
             pytest.approx(ber, rel=1e-12, abs=0.0)
 
 
-class TestConvolutionOracle:
-    def test_gamma_sum_closed_form(self):
-        # Sum of two Gamma(k, 1) variables is Gamma(2k, 1): an exact oracle
-        # check with no shared code path.
+def _alpha2(mu, theta):
+    """alpha = 2 branch whose power is Gamma(mu, scale theta)."""
+    ln_x = 0.5 * (math.log(theta * mu) + 2.0 * math.lgamma(mu + 0.5)
+                  - math.lgamma(mu + 1.0) - math.lgamma(mu))
+    return AlphaMuB(2.0, mu, x_mean=math.exp(ln_x))
+
+
+class TestSumPowerPdf:
+    @pytest.mark.parametrize("mus", [(1.3, 0.7), (0.15, 0.15)],
+                             ids=["smooth", "singular"])
+    def test_gamma_sum_closed_form(self, mus):
+        # alpha = 2 powers of equal Omega/mu are Gamma(mu_l, theta), and
+        # their sum is Gamma(mu_1 + mu_2, theta): no shared code path.  At
+        # mu = 0.15 the transform needs the small-x piece below its rule.
         from scipy import stats
 
-        k = 1.7
-        conv = convolution_oracle([lambda y: stats.gamma.pdf(y, k)] * 2,
-                                  y_max=60.0)
-        for y in (0.5, 2.0, 5.0):
-            assert conv(y) == pytest.approx(stats.gamma.pdf(y, 2 * k),
-                                            rel=2e-3)
+        branches = [_alpha2(mu, 0.7) for mu in mus]
+        assert envelope_moment(branches[1], 1.0, 2.0) == pytest.approx(
+            mus[1] * 0.7, rel=1e-12)
+        ys = 0.7 * np.array([0.01, 0.5, 2.0, 5.0])
+        np.testing.assert_allclose(sum_power_pdf(branches, 1.0, ys),
+                                   stats.gamma.pdf(ys, sum(mus), scale=0.7),
+                                   rtol=1e-7, atol=0.0)
 
     def test_mass_property(self):
-        conv = convolution_oracle([lambda y: power_pdf(INDOOR_1, 1.0, y)] * 2)
-        assert conv.mass == pytest.approx(1.0, abs=2e-3)
+        # A trapezoid in ln y converges geometrically on this density.
+        u = np.linspace(-14.0, 3.0, 61)
+        y = np.exp(u)
+        mass = np.trapezoid(sum_power_pdf([INDOOR_1] * 2, 1.0, y) * y, u)
+        assert mass == pytest.approx(1.0, abs=1e-7)
 
     def test_needs_input(self):
         with pytest.raises(DomainError):
-            convolution_oracle([])
+            sum_power_pdf([], 1.0, 1.0)
+        with pytest.raises(DomainError, match="nu"):
+            sum_power_pdf([INDOOR_1], math.nan, 1.0)
+
+    @pytest.mark.parametrize("config", [1, 2, 3, 4])
+    def test_mg_pair_matches_the_convolution_integral(self, config):
+        # f(y) = int_0^y f1(x) f1(y - x) dx by adaptive quadrature.  From the
+        # mean up, the inversion holds 1e-6 of f; below it MG pairs have
+        # valleys between component modes, 1e-6 of 1/E[Y] deep, where it
+        # holds 1e-6 of |f| + 1/E[Y], the tolerance of its own check.
+        model = mg_preset(f"mg_config{config}")
+        branches = [model] * 2
+        m1 = envelope_moment(model, 1.0, 2.0)  # the sum's mean and sd
+        mean = 2.0 * m1
+        sd = math.sqrt(2.0 * (envelope_moment(model, 1.0, 4.0) - m1 * m1))
+        comps = list(zip(np.log(model.alphas / 2.0), model.shapes - 2.0,
+                         model.rates))
+
+        def f(x):
+            # The envelope density sum a r^(b-1) e^(-z r) at r = sqrt(x),
+            # over 2r: written here in floats, for speed.
+            ln_r, r = 0.5 * math.log(x), math.sqrt(x)
+            return sum(math.exp(lna + e * ln_r - z * r) for lna, e, z in comps)
+
+        def conv(y):
+            return integrate.quad(lambda x: f(x) * f(y - x), 0.0, y,
+                                  epsrel=1e-12, epsabs=0.0, limit=500)[0]
+
+        ys = np.linspace(mean, mean + 5.0 * sd, 6)
+        np.testing.assert_allclose(sum_power_pdf(branches, 1.0, ys),
+                                   [conv(y) for y in ys], rtol=1e-6, atol=0.0)
+        ys = np.geomspace(0.01 * mean, mean, 6)
+        ref = np.array([conv(y) for y in ys])
+        gap = np.abs(sum_power_pdf(branches, 1.0, ys) - ref)
+        assert np.all(gap <= 1e-6 * (ref + 1.0 / mean))
+
+    def test_forced_miss_is_one_accuracy_line(self, tmp_path, monkeypatch,
+                                              capsys):
+        import json
+
+        monkeypatch.setattr(sum_dist, "_EULER_TOL", 0.0)
+        scn = tmp_path / "mg.json"
+        scn.write_text(json.dumps({
+            "branches": [{"preset": "mg_config1", "copies": 2}],
+            "snr_db": {"start": 0.0, "stop": 10.0, "step": 10.0}}))
+        out = tmp_path / "pdf.csv"
+        rc = cli.main(["pdf", "--scenario", str(scn), "--points", "3",
+                       "--ymin", "1e4", "--ymax", "1e5", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1 and not out.exists()
+        assert err.startswith("numeric accuracy failure: Euler inversion")
+        assert err.count("\n") == 1
