@@ -21,7 +21,7 @@ from thzdiv.monte_carlo import BerCurve, BerPoint
 branches = [mg_preset("mg_config1")] * 2
 grid = np.geomspace(1e-3, 10.0, 14)
 
-exact = [ber_mg_mgf(branches, 1.0, 2, u, g=1.0) for u in grid]
+exact = ber_mg_mgf(branches, 1.0, 2, grid, g=1.0)
 asym, law = ber_mg_asymptote(branches, 1.0, grid, g=1.0, dominant_only=True)
 asym = np.atleast_1d(asym)
 

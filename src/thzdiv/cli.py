@@ -323,13 +323,14 @@ def _compute_curve(scenario: Scenario, method: str, mc: dict) -> BerCurve:
         return simulate_mrc_ber(scenario, trials=mc["trials"], seed=mc["seed"],
                                 method=mc["method"])
     grid = np.array(scenario.snr_grid)
-    fam = _family(scenario)
+    # The Craig-form MGF reads each branch's power density alone, so it
+    # takes any mix of families; for MG branches it is the exact route.
+    fam = None if method == "mgf" else _family(scenario)
     branches, nu, g = scenario.branches, scenario.nu, scenario.g
     meta: dict = {}
     law = None
-    if method in ("exact", "mgf") and fam == "mixture_gamma":
-        # For MG branches the Craig-form MGF is the exact route.
-        bers = [ber_mg_mgf(branches, nu, len(branches), u, g=g) for u in grid]
+    if method == "mgf" or (method == "exact" and fam == "mixture_gamma"):
+        bers = ber_mg_mgf(branches, nu, len(branches), grid, g=g)
     elif method == "exact":
         bers = ber_exact_quadrature(_sum_density(scenario, meta), grid, g=g)
     elif method == "foxh" and fam == "alpha_mu_b":

@@ -4,7 +4,9 @@ For gamma' = Upsilon |h|^2 under mixture-of-gamma fading the density is a
 sum of stretched-exponential terms a_i y^{b_i-1} exp(-c_i sqrt(y)); its
 Laplace transform has a closed form in Tricomi's U at every SNR, whose
 large-Upsilon*s limit a_i Gamma(b_i) s^{-b_i} is the high-SNR
-approximation.  A quadrature oracle serves as the independent reference.
+approximation.  The BER route reads its own DE tables of the transform
+(ber_analytic._laplace_table); the closed form and a QUADPACK quadrature
+are the oracles that check them.
 """
 
 from __future__ import annotations

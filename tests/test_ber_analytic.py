@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy import special as sp
 
 from thzdiv import ber_analytic, specfun
 from thzdiv.ber_analytic import (
@@ -23,13 +24,17 @@ from thzdiv.ber_analytic import (
 )
 from thzdiv.channel_models import (
     AlphaMuA,
+    AlphaMuB,
+    Scenario,
     alpha_mu_a_preset,
     alpha_mu_b_preset,
+    envelope_moment,
     mg_preset,
     power_pdf,
 )
 from thzdiv.errors import DomainError, EvaluationError
 from thzdiv.mg_laplace import SquaredMgSnr, laplace_exact_series
+from thzdiv.monte_carlo import simulate_mrc_ber
 from thzdiv.specfun import q_function
 from thzdiv.sum_dist import (
     IidAlphaMuSum,
@@ -66,6 +71,22 @@ def mg_theta_quad(branches, upsilon, g=1.0):
     val, _ = integrate.quad(integrand, 0.0, math.pi / 2, points=brk,
                             epsabs=0.0, epsrel=1e-12, limit=500)
     return val / math.pi
+
+
+def mg_closed_form(branches, upsilon, g=1.0):
+    """Craig-form MG BER from the Tricomi-U closed form of each transform,
+    point by point, under ber_mg_mgf's nested tanh-sinh theta rule."""
+    snrs = [SquaredMgSnr.from_model(b, upsilon, 1.0) for b in branches]
+
+    def integrand(t):
+        x = math.pi * np.sinh(t)
+        p, q = sp.expit(x), sp.expit(-x)
+        s = g / np.sin(0.5 * math.pi * p) ** 2
+        return (0.5 * math.pi**2 * p * q * np.cosh(t)
+                * math.prod(laplace_exact_series(snr, s) for snr in snrs))
+
+    return specfun._nested_trapezoid(integrand, -3.0, 3.0, 12, 1e-9,
+                                     8) / math.pi
 
 
 def quad_oracle(pdf, upsilon, g=0.5):
@@ -334,12 +355,12 @@ class TestMgMgf:
             mg_theta_quad(branches, u), rel=1e-9, abs=0.0)
 
     def test_equal_branches_share_one_laplace_call(self, monkeypatch):
-        # Two equal models that are distinct objects cost what one shared
-        # object costs, and give the same bits.
+        # Two equal models that are distinct objects cost one table fill,
+        # as one shared object does, and give the same bits.
         calls = []
-        series = ber_analytic.laplace_exact_series
-        monkeypatch.setattr(ber_analytic, "laplace_exact_series",
-                            lambda s, x: calls.append(s) or series(s, x))
+        table = ber_analytic._laplace_table
+        monkeypatch.setattr(ber_analytic, "_laplace_table",
+                            lambda m, *a: calls.append(m) or table(m, *a))
 
         def run(branches):
             calls.clear()
@@ -347,12 +368,46 @@ class TestMgMgf:
 
         shared = run([mg_preset("mg_config3")] * 2)
         separate = run([mg_preset("mg_config3"), mg_preset("mg_config3")])
-        assert separate == shared
+        assert separate == shared == (shared[0], 1)
 
     def test_levels_run_out_is_an_error(self, monkeypatch):
         monkeypatch.setattr(ber_analytic, "_T_LEVELS", 1)
         with pytest.raises(EvaluationError):
             ber_mg_mgf([self.CFG1] * 2, 1.0, 2, 1e-6)
+
+    @pytest.mark.parametrize("names", [
+        [f"mg_config{k}"] * 2 for k in (1, 2, 3, 4)] + [
+        ["mg_config2", "mg_config3"]], ids=lambda n: "+".join(n))
+    def test_matches_the_closed_form(self, names):
+        # scipy's hyperu is good to about 1e-8, the tables to about 1e-14.
+        branches = [mg_preset(n) for n in names]
+        grid = 10.0 ** (np.arange(-100.0, 60.1, 5.0) / 10.0)
+        ref = [mg_closed_form(branches, u) for u in grid]
+        assert ber_mg_mgf(branches, 1.0, 2, grid) == pytest.approx(
+            ref, rel=2e-8, abs=0.0)
+
+    def test_grid_call_equals_point_calls(self):
+        branches = [mg_preset("mg_config1"), mg_preset("mg_config4")]
+        grid = 10.0 ** (np.arange(-60.0, 40.1, 10.0) / 10.0)
+        curve = ber_mg_mgf(branches, 1.0, 2, grid)
+        points = [ber_mg_mgf(branches, 1.0, 2, u) for u in grid]
+        assert isinstance(points[0], float) and curve.shape == grid.shape
+        assert curve == pytest.approx(points, rel=1e-12, abs=0.0)
+
+    def test_grid_memory_is_bounded(self):
+        # The theta rule takes 512 points at a time and the table fill 64
+        # s columns: 3.4 MB traced on 10 000 points.
+        branches = [mg_preset("mg_config4")] * 3
+        grid = 10.0 ** (np.linspace(-100.0, 60.0, 10_000) / 10.0)
+        ber_mg_mgf(branches, 1.0, 3, grid[:2])
+        tracemalloc.start()
+        try:
+            bers = ber_mg_mgf(branches, 1.0, 3, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.diff(bers) < 0.0)
+        assert peak < 8e6
 
     @settings(max_examples=40, deadline=None)
     @given(preset=st.sampled_from(["mg_config1", "mg_config2", "mg_config3",
@@ -365,6 +420,84 @@ class TestMgMgf:
         lo, hi = (ber_mg_mgf(branches, 1.0, copies, 10.0 ** (db / 10.0))
                   for db in (db_lo, min(db_lo + gap, 60.0)))
         assert 0.0 <= hi <= lo <= 0.5
+
+
+def mg_transform_mpmath(model, s):
+    """Sum over components of a 2 Gamma(2b) (4s)^-b U(b, 1/2, c^2/(4s)) at
+    unit SNR (G&R 3.462.1), in mpmath at 30 digits."""
+    import mpmath as mp
+    with mp.workdps(30):
+        return float(sum(
+            mp.mpf(w) * mp.gamma(beta) * (4 * s) ** (-mp.mpf(beta) / 2)
+            * mp.hyperu(mp.mpf(beta) / 2, 0.5, mp.mpf(zeta) ** 2 / (4 * s))
+            for w, beta, zeta in zip(model.alphas, model.shapes,
+                                     model.rates)))
+
+
+class TestLaplaceTable:
+    """The per-branch tables of ln L(s) that ber_mg_mgf reads."""
+
+    @staticmethod
+    def transform(model, s):
+        ln_s = np.log(s)
+        table = ber_analytic._laplace_table(model, 1.0, ln_s.min(),
+                                            ln_s.max(), 62.0)
+        return np.exp(table(ln_s))
+
+    @pytest.mark.parametrize("name", ["mg_config1", "mg_config2",
+                                      "mg_config3", "mg_config4"])
+    def test_matches_mpmath_hyperu(self, name):
+        # scipy's hyperu is 5.9e-9 off on mg_config4 at s = 3.16e-4.
+        model = mg_preset(name)
+        s = np.array([3.16e-4, 5e-3, 0.3, 20.0, 1e3])
+        ref = [mg_transform_mpmath(model, v) for v in s]
+        assert self.transform(model, s) == pytest.approx(ref, rel=1e-13,
+                                                         abs=0.0)
+
+    @pytest.mark.parametrize("family", [AlphaMuA, AlphaMuB])
+    @pytest.mark.parametrize("mu", [0.15, 1.0, 2.5])
+    def test_nakagami_closed_form(self, family, mu):
+        # alpha = 2: the power is gamma, L = (1 + s Omega / mu)^-mu.  At
+        # mu = 0.15 the mass below the DE rule's first node counts.
+        model = family(2.0, mu, 0.7)
+        omega = envelope_moment(model, 1.0, 2.0)
+        s = np.geomspace(1e-2, 1e20, 200)
+        assert self.transform(model, s) == pytest.approx(
+            (1.0 + s * omega / mu) ** -mu, rel=1e-12, abs=0.0)
+
+
+class TestMgfOnAlphaMu:
+    @pytest.mark.parametrize("preset", ["indoor_1", "indoor_2"])
+    @pytest.mark.parametrize("l_branches", [2, 3])
+    def test_form_a_equals_the_delta_series(self, preset, l_branches):
+        model = alpha_mu_a_preset(preset)
+        series = IidAlphaMuSum.build(model, 1.0, l_branches)
+        grid = 10.0 ** (np.arange(-10.0, 30.1, 2.5) / 10.0)
+        exact = ber_exact_quadrature(
+            lambda y: iid_sum_power_pdf(series, y), grid, g=0.5)
+        assert ber_mg_mgf([model] * l_branches, 1.0, l_branches, grid,
+                          g=0.5) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    def test_form_b_true_sum_within_3_se_of_monte_carlo(self, capsys):
+        # x_mean ratio 4, where the psi = 4 mixture of Eq. 23 is furthest
+        # from the true sum; the test reports that gap, it does not bound it.
+        branches = [alpha_mu_b_preset("indoor_2", x_mean=x)
+                    for x in (0.5, 2.0)]
+        grid = 10.0 ** (np.array([0.0, 5.0, 10.0]) / 10.0)
+        true = ber_mg_mgf(branches, 1.0, 2, grid, g=0.5)
+        mixture = ber_alpha_mu_gen_foxh(solve_mixture_nodes(branches, 1.0),
+                                        grid)
+        mc = simulate_mrc_ber(Scenario(branches=tuple(branches), g=0.5,
+                                       snr_grid=tuple(grid)),
+                              trials=4_000_000, seed=7)
+        ses = np.array([p.se for p in mc.points])
+        z_true = (np.array([p.ber for p in mc.points]) - true) / ses
+        z_mix = (np.array([p.ber for p in mc.points]) - mixture) / ses
+        with capsys.disabled():
+            print(f"\nform B x_mean 0.5, 2.0 at 0, 5, 10 dB: mgf "
+                  f"{np.round(z_true, 2)} SE, mixture {np.round(z_mix, 2)} "
+                  f"SE, |mixture/mgf - 1| = {np.abs(mixture / true - 1)}")
+        assert np.all(np.abs(z_true) <= 3.0)
 
 
 class TestMgAsymptote:
@@ -484,7 +617,7 @@ BAD_ARGS = {"u-nan": (math.nan, 0.5), "g-nan": (10.0, math.nan),
 
 @pytest.mark.parametrize("route,case", [
     (r, c) for r in ROUTES for c in BAD_ARGS] + [
-    ("exact", "grid-nan"), ("foxh", "grid-nan")])
+    ("exact", "grid-nan"), ("foxh", "grid-nan"), ("mgf", "grid-nan")])
 def test_rejects_bad_upsilon_or_g_at_once(monkeypatch, route, case):
     # A NaN fails every comparison, so each check is written to fail on it;
     # the error comes before any quadrature runs, with no warning.

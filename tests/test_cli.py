@@ -181,12 +181,30 @@ class TestBerSubcommand:
         assert bers["asymptotic"][-1] / bers["exact"][-1] == pytest.approx(
             1.0, abs=0.01)
 
+    @pytest.mark.parametrize("branches", [
+        [{"preset": "indoor_1"}],
+        [{"type": "alpha_mu_b", "preset": "indoor_1"}],
+        [{"preset": "indoor_1", "z_hat": 0.8}, {"preset": "indoor_2"}],
+        [{"preset": "indoor_1"}, {"type": "alpha_mu_b", "preset": "indoor_2"},
+         {"preset": "mg_config1"}],
+    ], ids=["a_mgf", "b_mgf", "unequal_a", "mixed"])
+    def test_mgf_applies_to_every_family(self, tmp_path, branches):
+        # mgf reads each branch's power density alone; the density routes
+        # still refuse unequal form-A branches and mixed families.
+        scn = write_scn(tmp_path, dict(SCN_MG, branches=branches))
+        out = tmp_path / "mgf.csv"
+        assert main(["ber", "--scenario", scn, "--method", "mgf",
+                     "--out", str(out)]) == 0
+        bers = [p.ber for p in read_curve_csv(str(out)).points]
+        assert 0.0 < bers[-1] < bers[0] < 0.5
+        if len(branches) > 1:
+            assert main(["ber", "--scenario", scn, "--method", "exact",
+                         "--out", str(tmp_path / "x.csv")]) == 1
+
     @pytest.mark.parametrize("branch,method,family", [
-        ({"preset": "indoor_1"}, "mgf", "alpha_mu_a"),
         ({"preset": "indoor_1"}, "foxh", "alpha_mu_a"),
-        ({"type": "alpha_mu_b", "preset": "indoor_1"}, "mgf", "alpha_mu_b"),
         ({"preset": "mg_config1"}, "foxh", "mixture_gamma"),
-    ], ids=["a_mgf", "a_foxh", "b_mgf", "mg_foxh"])
+    ], ids=["a_foxh", "mg_foxh"])
     def test_inapplicable_method_names_method_and_family(
             self, tmp_path, capsys, branch, method, family):
         scn = write_scn(tmp_path, dict(SCN_MG, branches=[branch]))
