@@ -69,7 +69,7 @@ _CHEB_ANGLES = math.pi * (np.arange(25) + 0.5) / 25
 _CHEB_NODES = np.cos(_CHEB_ANGLES)
 _CHEB_FIT = np.cos(np.outer(np.arange(25), _CHEB_ANGLES)) * (2 / 25)
 _CHEB_FIT[0] /= 2.0
-_FILL_COLS = 64   # s columns per DE fill: bounds its (t, s) temporaries
+_FILL_PIECES = 8  # pieces per DE fill: bounds its (t, piece, s) temporaries
 
 
 class AsymptoteSource(enum.Enum):
@@ -96,21 +96,26 @@ class AsymptoteLaw:
         return self.kappa1 * np.asarray(upsilon, dtype=float) ** (-self.kappa2)
 
 
-def ber_exact_quadrature(sum_pdf, upsilon, g: float = 0.5):
+def ber_exact_quadrature(sum_pdf, upsilon, g: float = 0.5,
+                         mean: float = math.inf):
     """Exact BER int Q(sqrt(2 g Upsilon x)) f(x) dx, at one Upsilon or a grid.
 
     One nested double-exponential rule serves the whole grid: x = x_c
     exp((pi/2) sinh t), trapezoid in t, the step halved until every grid
     point agrees to 1e-10 relative, each density value shared by every
-    point.  A scalar upsilon gives a float, an array an array.
+    point.  ``mean``, the density's mean, caps x_c.  A scalar upsilon gives
+    a float, an array an array.
     """
     u = np.asarray(upsilon, dtype=float)
-    if u.size == 0 or not (np.all(u > 0) and 0 < g < math.inf):
-        raise DomainError("ber_exact_quadrature requires upsilon, g > 0, g finite")
-    # x_c centres the nodes on the grid's geometric middle.  Q(sqrt(2 g U x))
-    # is numerically zero beyond x_q = 1500/(2 g U) at every grid point, so
-    # nodes beyond the largest x_q carry weight 0 and skip the density.
-    x_c = 1.0 / (2.0 * g * math.sqrt(u.min() * u.max()))
+    if u.size == 0 or not (np.all(u > 0) and 0 < g < math.inf and mean > 0):
+        raise DomainError("ber_exact_quadrature requires upsilon, g, mean > 0, "
+                          "g finite")
+    # x_c centres the nodes on the grid's geometric middle, or on the mean
+    # if that is smaller: at very low SNR the middle's lowest node lies
+    # beyond the density's support.  Q(sqrt(2 g U x)) is numerically zero
+    # beyond x_q = 1500/(2 g U) at every grid point, so nodes beyond the
+    # largest x_q carry weight 0 and skip the density.
+    x_c = min(1.0 / (2.0 * g * math.sqrt(u.min() * u.max())), mean)
     x_q = 1500.0 / (2.0 * g * u.min())
 
     def integrand(t: np.ndarray) -> np.ndarray:
@@ -215,52 +220,59 @@ def _laplace_table(model, nu: float, ln_lo: float, ln_hi: float,
                    reach: float):
     """ln L(s), L(s) = E[exp(-s X)] of one branch's power X, against ln s.
 
-    Pieces _PIECE wide run from ln_lo to 70/min phi past ln_hi, or to
-    ``reach`` past it if that is nearer; beyond the last piece ln L falls
-    with slope -min phi, its large-s law.  Each node value is the DE rule of
-    ber_exact_quadrature over power_pdf, x = x_c exp((pi/2) sinh t),
-    x_c = 1/max(s, 1/E[X]) per s, to 1e-12 relative, _FILL_COLS values at a
-    time.  Below the first node x_0, f is its small-x terms c x^(phi-1) and
-    exp(-s x) is 1: they add sum c x_0^phi / phi.  Returns the evaluator of
-    ln L at an array of ln s, Clenshaw's recurrence on each piece.
+    Pieces _PIECE wide run from ln_lo to 70/min phi past the larger of
+    ln_hi and ln(1/E[X]), or to ``reach`` past ln_hi if that is nearer;
+    beyond the last piece ln L falls with slope -min phi, its large-s law.
+    Each node value is the DE rule of ber_exact_quadrature over power_pdf,
+    x = x_c exp((pi/2) sinh t), to 1e-12 relative.  A piece's columns share
+    one x_c, the geometric middle of their 1/max(s, 1/E[X]), so power_pdf
+    runs once per (t, piece) and a column adds one exp(-s x); _FILL_PIECES
+    pieces fill at a time.  Below the first node x_0, f is its small-x
+    terms c x^(phi-1) and exp(-s x) is 1: they add sum c x_0^phi / phi.
+    Returns the evaluator of ln L at an array of ln s, Clenshaw's
+    recurrence on each piece.
     """
     lnk, phi = _power_leading_terms(model, nu)
     phi_min, inv_mean = phi.min(), 1.0 / envelope_moment(model, nu, 2.0)
-    span = ln_hi - ln_lo + min(70.0 / phi_min, reach)
+    # The large-s law holds only from about s = 1/E[X] on: on a grid below
+    # it, 70/phi_min past ln_hi would stop the table where L is still ~1.
+    span = ln_hi - ln_lo + min(
+        max(0.0, math.log(inv_mean) - ln_hi) + 70.0 / phi_min, reach)
     n_pieces = max(1, math.ceil(span / _PIECE))
     ln_s = (ln_lo + _PIECE * (np.arange(n_pieces)[:, None] + 0.5)
-            + 0.5 * _PIECE * _CHEB_NODES).ravel()
+            + 0.5 * _PIECE * _CHEB_NODES)
     # The DE rule runs over t in [-t_lo, 4.5], first in steps of 0.5:
     # t_lo = 4.5, or more where phi < 0.57 leaves x f(x) ~ x^phi above
     # e^-40 of its scale at t = -4.5 (the trapezoid rule then converges).
     t_lo = max(4.5, math.asinh(80.0 / (math.pi * phi_min)))
 
     def fill(ln_sig: np.ndarray) -> np.ndarray:
-        sigma = np.exp(ln_sig)
-        x_c = 1.0 / np.maximum(sigma, inv_mean)
+        sigma = np.exp(ln_sig)  # (pieces, columns)
+        ln_xc = -np.mean(np.maximum(ln_sig, math.log(inv_mean)), axis=1)
+        x_c, s_lo = np.exp(ln_xc), sigma.min(axis=1)
 
         def integrand(t: np.ndarray) -> np.ndarray:
             x = np.multiply.outer(np.exp(0.5 * math.pi * np.sinh(t)), x_c)
-            sx = x * sigma
-            keep = (x > 0.0) & (sx < 745.0)  # beyond, exp(-s x) is 0
-            out, xk = np.zeros_like(x), x[keep]
-            out[keep] = power_pdf(model, nu, xk) * xk * np.exp(-sx[keep])
-            return out * (0.5 * math.pi * np.cosh(t))[:, None]
+            # An underflowed node never reaches power_pdf, whose y = 0
+            # limit raises for phi < 1; beyond s x = 745, exp(-s x) is 0.
+            keep = (x > 0.0) & (x * s_lo < 745.0)
+            w, xk = np.zeros_like(x), x[keep]
+            w[keep] = power_pdf(model, nu, xk) * xk
+            w *= (0.5 * math.pi * np.cosh(t))[:, None]
+            return w[:, :, None] * np.exp(-x[:, :, None] * sigma)
 
-        ln_x0 = np.log(x_c)[:, None] - 0.5 * math.pi * math.sinh(t_lo)
+        ln_x0 = ln_xc[:, None] - 0.5 * math.pi * math.sinh(t_lo)
         head = np.sum(np.exp(lnk + phi * ln_x0) / phi, axis=1)
-        return head + _nested_trapezoid(integrand, -t_lo, 4.5,
-                                        math.ceil(2.0 * (t_lo + 4.5)), 1e-12,
-                                        8)
+        return head[:, None] + _nested_trapezoid(
+            integrand, -t_lo, 4.5, math.ceil(2.0 * (t_lo + 4.5)), 1e-12, 8)
 
-    vals = np.concatenate([fill(ln_s[i:i + _FILL_COLS])
-                           for i in range(0, ln_s.size, _FILL_COLS)])
+    vals = np.concatenate([fill(ln_s[i:i + _FILL_PIECES])
+                           for i in range(0, n_pieces, _FILL_PIECES)])
     # The pieces hold ln(L s^phi_min), which stays constant beyond the last
     # piece; an underflowed L is floored, so that its logarithm is finite.
     # A piece's mean is its c_0: fitting the rest to the values less their
     # mean keeps the rounding at the size of their spread, not of ln L.
     vals = np.log(np.maximum(vals, np.finfo(float).tiny)) + phi_min * ln_s
-    vals = vals.reshape(n_pieces, -1)
     mean = vals.mean(axis=1)
     coef = _CHEB_FIT @ (vals - mean[:, None]).T
     coef[0] += mean

@@ -42,6 +42,7 @@ from .channel_models import (
     alpha_mu_a_preset,
     alpha_mu_b_preset,
     branch_scale_nu,
+    envelope_moment,
     envelope_pdf,
     list_presets,
     mg_preset,
@@ -332,7 +333,9 @@ def _compute_curve(scenario: Scenario, method: str, mc: dict) -> BerCurve:
     if method == "mgf" or (method == "exact" and fam == "mixture_gamma"):
         bers = ber_mg_mgf(branches, nu, len(branches), grid, g=g)
     elif method == "exact":
-        bers = ber_exact_quadrature(_sum_density(scenario, meta), grid, g=g)
+        bers = ber_exact_quadrature(
+            _sum_density(scenario, meta), grid, g=g,
+            mean=sum(envelope_moment(b, nu, 2.0) for b in branches))
     elif method == "foxh" and fam == "alpha_mu_b":
         nodes = _mixture(scenario, meta)
         bers = np.minimum(ber_alpha_mu_gen_foxh(nodes, grid, g=g), 0.5)

@@ -395,8 +395,8 @@ class TestMgMgf:
         assert curve == pytest.approx(points, rel=1e-12, abs=0.0)
 
     def test_grid_memory_is_bounded(self):
-        # The theta rule takes 512 points at a time and the table fill 64
-        # s columns: 3.4 MB traced on 10 000 points.
+        # The theta rule takes 512 points at a time and the table fill 8
+        # pieces of 25 s columns: 3.4 MB traced on 10 000 points.
         branches = [mg_preset("mg_config4")] * 3
         grid = 10.0 ** (np.linspace(-100.0, 60.0, 10_000) / 10.0)
         ber_mg_mgf(branches, 1.0, 3, grid[:2])
@@ -420,6 +420,31 @@ class TestMgMgf:
         lo, hi = (ber_mg_mgf(branches, 1.0, copies, 10.0 ** (db / 10.0))
                   for db in (db_lo, min(db_lo + gap, 60.0)))
         assert 0.0 <= hi <= lo <= 0.5
+
+
+def alpha_mu_transform_mpmath(model, s):
+    """E[exp(-s X)] of an alpha-mu branch's power in mpmath at 30 digits.
+
+    With u = (r/c)^alpha, c the envelope scale, L(s) = (1/Gamma(mu)) int
+    u^(mu-1) exp(-u - s c^2 u^(2/alpha)) du; u = (knee v)^(1/mu) removes the
+    singularity at 0, and knee, where s c^2 u^(2/alpha) reaches 1, keeps
+    the integrand's mass near v = 1.
+    """
+    import mpmath as mp
+    with mp.workdps(30):
+        a, m = mp.mpf(model.alpha), mp.mpf(model.mu)
+        if isinstance(model, AlphaMuA):
+            c = mp.mpf(model.z_hat) / m ** (1 / a)
+        else:
+            c = mp.mpf(model.x_mean) * mp.gamma(m) / mp.gamma(m + 1 / a)
+        b = mp.mpf(s) * c**2
+        knee = min(1, b ** (-a / 2)) ** m
+        val, err = mp.quad(
+            lambda v: mp.exp(-(knee * v) ** (1 / m)
+                             - b * (knee * v) ** (2 / (a * m))),
+            [0, 0.01, 0.1, 1, 10, 100, mp.inf], error=True)
+        assert err < 1e-20 * val
+        return float(knee * val / mp.gamma(m + 1))
 
 
 def mg_transform_mpmath(model, s):
@@ -455,15 +480,85 @@ class TestLaplaceTable:
                                                          abs=0.0)
 
     @pytest.mark.parametrize("family", [AlphaMuA, AlphaMuB])
-    @pytest.mark.parametrize("mu", [0.15, 1.0, 2.5])
+    @pytest.mark.parametrize("mu", [0.05, 0.15, 1.0, 2.5])
     def test_nakagami_closed_form(self, family, mu):
         # alpha = 2: the power is gamma, L = (1 + s Omega / mu)^-mu.  At
-        # mu = 0.15 the mass below the DE rule's first node counts.
+        # mu = 0.15 the mass below the DE rule's first node counts; at
+        # mu = 0.05 the first nodes x_c e^(-40/phi) underflow to 0, where
+        # power_pdf's y = 0 limit would raise.
         model = family(2.0, mu, 0.7)
         omega = envelope_moment(model, 1.0, 2.0)
         s = np.geomspace(1e-2, 1e20, 200)
         assert self.transform(model, s) == pytest.approx(
             (1.0 + s * omega / mu) ** -mu, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("model", [mg_preset("mg_config4"),
+                                       AlphaMuA(2.0, 0.15, 0.7)],
+                             ids=["mg_config4", "nakagami_0.15"])
+    def test_density_runs_once_per_node_and_piece(self, model, monkeypatch):
+        # A piece's columns share one DE centre, so power_pdf sees each
+        # (t node, piece) at most once, not each (t node, column).
+        pdf, rule = ber_analytic.power_pdf, ber_analytic._nested_trapezoid
+        points, fills = [], []
+
+        def counted_pdf(m, nu, y):
+            points.append(np.size(y))
+            return pdf(m, nu, y)
+
+        def counted_rule(f, *args):
+            fill = [0, 0]
+            fills.append(fill)
+
+            def g(t):
+                out = f(t)
+                fill[0] += t.size       # DE points per column
+                fill[1] = out[0].size   # columns
+                return out
+
+            return rule(g, *args)
+
+        monkeypatch.setattr(ber_analytic, "power_pdf", counted_pdf)
+        monkeypatch.setattr(ber_analytic, "_nested_trapezoid", counted_rule)
+        ber_analytic._laplace_table(model, 1.0, math.log(1e-4),
+                                    math.log(10.0), 62.0)
+        per_column = max(n for n, _ in fills)
+        columns = sum(c for _, c in fills)
+        pieces = columns / ber_analytic._CHEB_NODES.size
+        assert pieces == int(pieces) and pieces > 1
+        assert 0 < sum(points) <= per_column * pieces
+
+    @pytest.mark.parametrize("mu", [0.15, 1.0, 2.5])
+    def test_outermost_columns_match_nakagami(self, mu):
+        # Each piece's first and last Chebyshev columns lie furthest from
+        # the DE centre the piece's columns share.
+        model = AlphaMuA(2.0, mu, 0.7)
+        omega = envelope_moment(model, 1.0, 2.0)
+        ln_lo, ln_hi = math.log(1e-2), math.log(1e20)
+        table = ber_analytic._laplace_table(model, 1.0, ln_lo, ln_hi, 62.0)
+        width = ber_analytic._PIECE
+        mid = ln_lo + width * (np.arange(int((ln_hi - ln_lo) // width)) + 0.5)
+        edge = 0.5 * width * ber_analytic._CHEB_NODES[[0, -1]]
+        s = np.exp(np.add.outer(mid, edge).ravel())
+        assert np.exp(table(np.log(s))) == pytest.approx(
+            (1.0 + s * omega / mu) ** -mu, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("family", [alpha_mu_a_preset, alpha_mu_b_preset])
+    @pytest.mark.parametrize("preset", ["indoor_1", "indoor_2"])
+    def test_matches_mpmath_quad(self, family, preset):
+        # alpha != 2 has no closed form; mpmath.quad at 30 digits is the
+        # reference (within 4e-16 of the alpha = 2 closed form).
+        model = family(preset)
+        s = np.array([1e-2, 0.37, 1.0, 31.0, 1e3, 2.2e5, 1e8, 1e12])
+        ref = [alpha_mu_transform_mpmath(model, v) for v in s]
+        assert self.transform(model, s) == pytest.approx(ref, rel=1e-13,
+                                                         abs=0.0)
+
+    def test_mpmath_reference_matches_nakagami(self):
+        model = AlphaMuB(2.0, 0.15, 0.7)
+        omega = envelope_moment(model, 1.0, 2.0)
+        for s in (1e-2, 1.0, 1e3, 1e12):
+            assert alpha_mu_transform_mpmath(model, s) == pytest.approx(
+                (1.0 + s * omega / 0.15) ** -0.15, rel=1e-15, abs=0.0)
 
 
 class TestMgfOnAlphaMu:

@@ -113,9 +113,9 @@ class TestBerSubcommand:
     def test_exact_takes_the_grid_in_one_call(self, tmp_path, monkeypatch):
         calls = []
 
-        def spy(pdf, upsilon, g):
+        def spy(pdf, upsilon, g, **kw):
             calls.append(upsilon)
-            return ber_exact_quadrature(pdf, upsilon, g=g)
+            return ber_exact_quadrature(pdf, upsilon, g=g, **kw)
 
         monkeypatch.setattr(cli, "ber_exact_quadrature", spy)
         assert main(["ber", "--scenario", write_scn(tmp_path, SCN_A),
@@ -123,6 +123,23 @@ class TestBerSubcommand:
                      str(tmp_path / "o.csv")]) == 0
         assert len(calls) == 1
         assert list(calls[0]) == [1.0, 10.0 ** 0.5, 10.0]
+
+    @pytest.mark.parametrize("method", ["exact", "mgf"])
+    @pytest.mark.parametrize("branches", [
+        SCN_A["branches"],
+        [{"type": "alpha_mu_b", "preset": "indoor_1", "x_mean": x}
+         for x in (0.8, 1.25)],
+        SCN_MG["branches"]], ids=["form_a", "form_b", "mg"])
+    def test_minus_400_db_reads_one_half(self, tmp_path, branches, method):
+        # At -400 dB the Q function's scale lies far beyond the sum
+        # density's support, and g Upsilon far below every 1/E[X].
+        doc = dict(SCN_A, branches=branches,
+                   snr_db={"start": -400, "stop": -400, "step": 1})
+        out = tmp_path / "o.csv"
+        assert main(["ber", "--scenario", write_scn(tmp_path, doc),
+                     "--method", method, "--out", str(out)]) == 0
+        [point] = read_curve_csv(str(out)).points
+        assert point.ber == pytest.approx(0.5, rel=0.0, abs=1e-12)
 
     def test_exact_curve_at_the_grid_cap(self, tmp_path):
         doc = dict(SCN_A, branches=[
