@@ -212,7 +212,7 @@ def ber_alpha_mu_gen_foxh(nodes: MixtureNodes, upsilon, g: float = 0.5):
 
 
 def ber_alpha_mu_gen_asymptote(branches, nu: float, upsilon, g: float = 0.5):
-    """High-SNR BER of the form-B sum; kappa2 = (alpha/2) sum_j mu_j."""
+    """High-SNR BER of any alpha-mu sum; kappa2 = sum_j alpha_j mu_j / 2."""
     return _law(branches, nu, upsilon, g, AsymptoteSource.ALPHA_MU_GEN)
 
 
@@ -241,15 +241,22 @@ def _laplace_table(model, nu: float, ln_lo: float, ln_hi: float,
     n_pieces = max(1, math.ceil(span / _PIECE))
     ln_s = (ln_lo + _PIECE * (np.arange(n_pieces)[:, None] + 0.5)
             + 0.5 * _PIECE * _CHEB_NODES)
+    ln_xc = -np.mean(np.maximum(ln_s, math.log(inv_mean)), axis=1)
     # The DE rule runs over t in [-t_lo, 4.5], first in steps of 0.5:
     # t_lo = 4.5, or more where phi < 0.57 leaves x f(x) ~ x^phi above
     # e^-40 of its scale at t = -4.5 (the trapezoid rule then converges).
     t_lo = max(4.5, math.asinh(80.0 / (math.pi * phi_min)))
+    if phi_min < 1.0:
+        # But the first node x_0 = x_c e^(-(pi/2) sinh t_lo), at the
+        # smallest x_c, stays where k x^(phi-1) < e^700 is finite.
+        ln_floor = -(700.0 - lnk.max()) / (1.0 - phi_min)
+        t_lo = min(t_lo, math.asinh(2.0 / math.pi
+                                    * (ln_xc.min() - ln_floor)))
 
-    def fill(ln_sig: np.ndarray) -> np.ndarray:
-        sigma = np.exp(ln_sig)  # (pieces, columns)
-        ln_xc = -np.mean(np.maximum(ln_sig, math.log(inv_mean)), axis=1)
-        x_c, s_lo = np.exp(ln_xc), sigma.min(axis=1)
+    def fill(i: int) -> np.ndarray:
+        ln_c = ln_xc[i:i + _FILL_PIECES]
+        sigma = np.exp(ln_s[i:i + _FILL_PIECES])  # (pieces, columns)
+        x_c, s_lo = np.exp(ln_c), sigma.min(axis=1)
 
         def integrand(t: np.ndarray) -> np.ndarray:
             x = np.multiply.outer(np.exp(0.5 * math.pi * np.sinh(t)), x_c)
@@ -261,13 +268,12 @@ def _laplace_table(model, nu: float, ln_lo: float, ln_hi: float,
             w *= (0.5 * math.pi * np.cosh(t))[:, None]
             return w[:, :, None] * np.exp(-x[:, :, None] * sigma)
 
-        ln_x0 = ln_xc[:, None] - 0.5 * math.pi * math.sinh(t_lo)
+        ln_x0 = ln_c[:, None] - 0.5 * math.pi * math.sinh(t_lo)
         head = np.sum(np.exp(lnk + phi * ln_x0) / phi, axis=1)
         return head[:, None] + _nested_trapezoid(
             integrand, -t_lo, 4.5, math.ceil(2.0 * (t_lo + 4.5)), 1e-12, 8)
 
-    vals = np.concatenate([fill(ln_s[i:i + _FILL_PIECES])
-                           for i in range(0, n_pieces, _FILL_PIECES)])
+    vals = np.concatenate([fill(i) for i in range(0, n_pieces, _FILL_PIECES)])
     # The pieces hold ln(L s^phi_min), which stays constant beyond the last
     # piece; an underflowed L is floored, so that its logarithm is finite.
     # A piece's mean is its c_0: fitting the rest to the values less their

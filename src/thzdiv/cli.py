@@ -69,8 +69,8 @@ from .sum_dist import (
 CSV_HEADER = "snr_db,upsilon,ber,se,method,kappa1,kappa2"
 
 # Scenario size limits, checked before anything is allocated: the form-A
-# series precision grows like L^alpha_bar (a build takes about 5 s at L = 8
-# and 75 s at L = 16).
+# series that `pdf` builds for identical branches grows its precision like
+# L^alpha_bar (a build takes about 5 s at L = 8 and 75 s at L = 16).
 _MAX_BRANCHES = 8
 _MAX_GRID_POINTS = 10_000
 
@@ -283,37 +283,26 @@ def load_scenario(path: str):
 # --- sum-density construction ------------------------------------------------
 
 def _family(scenario: Scenario) -> str:
-    """The branches' fading family; form-A sums need identical branches."""
+    """The branches' fading family, or "mixed"."""
     kinds = {type(b) for b in scenario.branches}
     if len(kinds) != 1:
-        raise ScenarioError(
-            "branches: mixing fading families is not supported")
-    if kinds == {AlphaMuA} and len(set(scenario.branches)) != 1:
-        raise ScenarioError("alpha_mu_a sums require identical branches")
+        return "mixed"
     return {AlphaMuA: "alpha_mu_a", AlphaMuB: "alpha_mu_b",
             MixtureGamma: "mixture_gamma"}[kinds.pop()]
 
 
-def _mixture(scenario: Scenario, meta: dict):
-    """The form-B mixture nodes; their psi and residual go into meta."""
-    nodes = solve_mixture_nodes(scenario.branches, scenario.nu)
-    meta.update(mixture_psi=nodes.psi, mixture_residual=nodes.residual)
-    return nodes
-
-
-def _sum_density(scenario: Scenario, meta: dict):
-    """Density of ||h||^2; a form-B fit puts its psi and residual in meta."""
-    fam = _family(scenario)
-    nu = scenario.nu
-    if fam == "alpha_mu_a":
-        s = IidAlphaMuSum.build(scenario.branches[0], nu, scenario.l_branches)
+def _sum_density(scenario: Scenario):
+    """Density of ||h||^2, from the closest form the branches allow."""
+    fam, branches, nu = _family(scenario), scenario.branches, scenario.nu
+    if fam == "alpha_mu_a" and len(set(branches)) == 1:
+        s = IidAlphaMuSum.build(branches[0], nu, scenario.l_branches)
         return lambda y: iid_sum_power_pdf(s, y)
     if fam == "alpha_mu_b":
-        nodes = _mixture(scenario, meta)
+        nodes = solve_mixture_nodes(branches, nu)
         return lambda y: inid_sum_power_pdf(nodes, y)
     if scenario.l_branches == 1:
-        return lambda y: power_pdf(scenario.branches[0], nu, y)
-    return lambda y: sum_power_pdf(scenario.branches, nu, y)
+        return lambda y: power_pdf(branches[0], nu, y)
+    return lambda y: sum_power_pdf(branches, nu, y)
 
 
 # --- curve computation -------------------------------------------------------
@@ -324,27 +313,31 @@ def _compute_curve(scenario: Scenario, method: str, mc: dict) -> BerCurve:
         return simulate_mrc_ber(scenario, trials=mc["trials"], seed=mc["seed"],
                                 method=mc["method"])
     grid = np.array(scenario.snr_grid)
-    # The Craig-form MGF reads each branch's power density alone, so it
-    # takes any mix of families; for MG branches it is the exact route.
-    fam = None if method == "mgf" else _family(scenario)
+    fam = _family(scenario)
     branches, nu, g = scenario.branches, scenario.nu, scenario.g
     meta: dict = {}
     law = None
-    if method == "mgf" or (method == "exact" and fam == "mixture_gamma"):
+    # The Craig-form MGF reads each branch's power density alone, so it
+    # takes any mix of families; it is the exact route for all but form B,
+    # which keeps the paper's Eq. 23 mixture.
+    if method == "mgf" or (method == "exact" and fam != "alpha_mu_b"):
         bers = ber_mg_mgf(branches, nu, len(branches), grid, g=g)
-    elif method == "exact":
-        bers = ber_exact_quadrature(
-            _sum_density(scenario, meta), grid, g=g,
-            mean=sum(envelope_moment(b, nu, 2.0) for b in branches))
-    elif method == "foxh" and fam == "alpha_mu_b":
-        nodes = _mixture(scenario, meta)
-        bers = np.minimum(ber_alpha_mu_gen_foxh(nodes, grid, g=g), 0.5)
-    elif method == "asymptotic" and fam == "alpha_mu_a":
-        bers, law = ber_alpha_mu_iid_asymptote(branches[0], nu, len(branches),
-                                               grid, g=g)
-    elif method == "asymptotic" and fam == "alpha_mu_b":
-        bers, law = ber_alpha_mu_gen_asymptote(branches, nu, grid, g=g)
-    elif method == "asymptotic":
+    elif method in ("exact", "foxh") and fam == "alpha_mu_b":
+        nodes = solve_mixture_nodes(branches, nu)
+        meta.update(mixture_psi=nodes.psi, mixture_residual=nodes.residual)
+        if method == "foxh":
+            bers = np.minimum(ber_alpha_mu_gen_foxh(nodes, grid, g=g), 0.5)
+        else:
+            bers = ber_exact_quadrature(
+                lambda y: inid_sum_power_pdf(nodes, y), grid, g=g,
+                mean=sum(envelope_moment(b, nu, 2.0) for b in branches))
+    elif method == "asymptotic" and fam in ("alpha_mu_a", "alpha_mu_b"):
+        if fam == "alpha_mu_a" and len(set(branches)) == 1:
+            bers, law = ber_alpha_mu_iid_asymptote(
+                branches[0], nu, len(branches), grid, g=g)
+        else:
+            bers, law = ber_alpha_mu_gen_asymptote(branches, nu, grid, g=g)
+    elif method == "asymptotic" and fam == "mixture_gamma":
         bers, law = ber_mg_asymptote(branches, nu, grid, g=g,
                                      dominant_only=True)
     else:
@@ -419,7 +412,7 @@ def _cmd_pdf(args) -> int:
         else:
             pdf = lambda y: power_pdf(model, scenario.nu, y)
     else:
-        pdf = _sum_density(scenario, {})
+        pdf = _sum_density(scenario)
     y = np.linspace(args.ymin, args.ymax, args.points)
     vals = pdf(y)
     lines = ["y,pdf"] + [f"{_fmt(a)},{_fmt(b)}" for a, b in zip(y, vals)]

@@ -480,12 +480,13 @@ class TestLaplaceTable:
                                                          abs=0.0)
 
     @pytest.mark.parametrize("family", [AlphaMuA, AlphaMuB])
-    @pytest.mark.parametrize("mu", [0.05, 0.15, 1.0, 2.5])
+    @pytest.mark.parametrize("mu", [0.04, 0.05, 0.15, 1.0, 2.5])
     def test_nakagami_closed_form(self, family, mu):
         # alpha = 2: the power is gamma, L = (1 + s Omega / mu)^-mu.  At
         # mu = 0.15 the mass below the DE rule's first node counts; at
         # mu = 0.05 the first nodes x_c e^(-40/phi) underflow to 0, where
-        # power_pdf's y = 0 limit would raise.
+        # power_pdf's y = 0 limit would raise; at mu = 0.04 the rule starts
+        # later, where k x^(phi-1) is still finite.
         model = family(2.0, mu, 0.7)
         omega = envelope_moment(model, 1.0, 2.0)
         s = np.geomspace(1e-2, 1e20, 200)
@@ -572,6 +573,28 @@ class TestMgfOnAlphaMu:
             lambda y: iid_sum_power_pdf(series, y), grid, g=0.5)
         assert ber_mg_mgf([model] * l_branches, 1.0, l_branches, grid,
                           g=0.5) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("mu", [0.15, 0.61844, 2.5])
+    def test_eight_nakagami_branches_match_the_gamma_craig_integral(self,
+                                                                    mu):
+        # Eight alpha = 2 branches sum to a gamma power of shape 8 mu, so
+        # BER = (1/pi) int (1 + g Upsilon Omega / (mu sin^2))^(-8 mu) dtheta,
+        # here in mpmath at 30 digits.  At mu = 0.61844 and 2.5 the delta
+        # series' quadrature does not reach its tolerance on these points.
+        import mpmath as mp
+        model, g = AlphaMuA(2.0, mu, 0.7), 0.5
+        omega = envelope_moment(model, 1.0, 2.0)
+        grid = 10.0 ** (np.array([-40.0, -15.0, 10.0]) / 10.0)
+        ref = []
+        with mp.workdps(30):
+            for u in grid:
+                c = mp.mpf(g * u * omega / mu)
+                layer = min(mp.sqrt(c), mp.mpf(0.5))
+                ref.append(float(mp.quad(
+                    lambda th: (1 + c / mp.sin(th) ** 2) ** (-8 * mp.mpf(mu)),
+                    [0, layer / 4, layer, mp.pi / 2]) / mp.pi))
+        assert ber_mg_mgf([model] * 8, 1.0, 8, grid, g=g) == pytest.approx(
+            ref, rel=1e-12, abs=0.0)
 
     def test_form_b_true_sum_within_3_se_of_monte_carlo(self, capsys):
         # x_mean ratio 4, where the psi = 4 mixture of Eq. 23 is furthest

@@ -2,13 +2,20 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from thzdiv import cli
 from thzdiv.ber_analytic import ber_exact_quadrature
-from thzdiv.channel_models import alpha_mu_a_preset
+from thzdiv.channel_models import (
+    AlphaMuA,
+    alpha_mu_a_preset,
+    envelope_moment,
+    power_pdf,
+)
 from thzdiv.cli import (
     CSV_HEADER,
     ScenarioError,
@@ -16,7 +23,7 @@ from thzdiv.cli import (
     main,
     read_curve_csv,
 )
-from thzdiv.sum_dist import IidAlphaMuSum, iid_sum_power_pdf
+from thzdiv.sum_dist import IidAlphaMuSum, iid_sum_power_pdf, sum_power_pdf
 
 SCN_A = {
     "branches": [{"type": "alpha_mu_a", "preset": "indoor_1", "copies": 2}],
@@ -24,6 +31,9 @@ SCN_A = {
     "snr_db": {"start": 0, "stop": 10, "step": 5},
     "mc": {"trials": 20000, "seed": 11},
 }
+
+# Unequal form-A branches: no delta series, no mixture.
+UNEQUAL_A = [{"preset": "indoor_1", "z_hat": 0.8}, {"preset": "indoor_2"}]
 
 SCN_MG = {
     "branches": [{"preset": "mg_config1"}, {"preset": "mg_config2"}],
@@ -36,6 +46,14 @@ def write_scn(tmp_path, doc, name="scn.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def _bers(scn, method, tmp_path):
+    """The ber column of one `ber` run."""
+    out = tmp_path / f"{method}.csv"
+    assert main(["ber", "--scenario", scn, "--method", method,
+                 "--out", str(out)]) == 0
+    return [p.ber for p in read_curve_csv(str(out)).points]
 
 
 class TestScenarioParsing:
@@ -83,14 +101,17 @@ class TestScenarioParsing:
         assert scenario.branches[0].n_components == 2
 
     def test_mixed_families_rejected_at_compute(self, tmp_path):
+        # exact reads each branch's Laplace table, so it takes the mix;
+        # the asymptote has no law for it.
         doc = dict(SCN_A)
         doc["branches"] = [
             {"type": "alpha_mu_a", "preset": "indoor_1"},
             {"preset": "mg_config1"},
         ]
-        out = tmp_path / "x.csv"
-        rc = main(["ber", "--scenario", write_scn(tmp_path, doc),
-                   "--method", "exact", "--out", str(out)])
+        scn = write_scn(tmp_path, doc)
+        assert _bers(scn, "exact", tmp_path) == _bers(scn, "mgf", tmp_path)
+        rc = main(["ber", "--scenario", scn, "--method", "asymptotic",
+                   "--out", str(tmp_path / "x.csv")])
         assert rc == 1
 
 
@@ -111,18 +132,27 @@ class TestBerSubcommand:
         assert sidecar["method"] == "exact"
 
     def test_exact_takes_the_grid_in_one_call(self, tmp_path, monkeypatch):
-        calls = []
+        # Form B integrates its mixture density, every other family reads
+        # the Craig-form MGF: one call per curve either way.
+        calls = {"quad": [], "mgf": []}
 
-        def spy(pdf, upsilon, g, **kw):
-            calls.append(upsilon)
-            return ber_exact_quadrature(pdf, upsilon, g=g, **kw)
+        def spy(name, f):
+            def call(*args, **kw):
+                calls[name].append(args[-1])
+                return f(*args, **kw)
+            return call
 
-        monkeypatch.setattr(cli, "ber_exact_quadrature", spy)
-        assert main(["ber", "--scenario", write_scn(tmp_path, SCN_A),
-                     "--method", "exact", "--out",
-                     str(tmp_path / "o.csv")]) == 0
-        assert len(calls) == 1
-        assert list(calls[0]) == [1.0, 10.0 ** 0.5, 10.0]
+        monkeypatch.setattr(cli, "ber_exact_quadrature",
+                            spy("quad", cli.ber_exact_quadrature))
+        monkeypatch.setattr(cli, "ber_mg_mgf", spy("mgf", cli.ber_mg_mgf))
+        form_b = [{"type": "alpha_mu_b", "preset": "indoor_1", "copies": 2}]
+        for name, doc in (("quad", dict(SCN_A, branches=form_b)),
+                          ("mgf", SCN_A)):
+            assert main(["ber", "--scenario", write_scn(tmp_path, doc),
+                         "--method", "exact", "--out",
+                         str(tmp_path / "o.csv")]) == 0
+            assert len(calls[name]) == 1
+            assert list(calls[name][0]) == [1.0, 10.0 ** 0.5, 10.0]
 
     @pytest.mark.parametrize("method", ["exact", "mgf"])
     @pytest.mark.parametrize("branches", [
@@ -140,6 +170,57 @@ class TestBerSubcommand:
                      "--method", method, "--out", str(out)]) == 0
         [point] = read_curve_csv(str(out)).points
         assert point.ber == pytest.approx(0.5, rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("method", ["exact", "mgf"])
+    def test_nakagami_mu_0_04_pair_runs_without_warning(self, tmp_path,
+                                                        method):
+        # Regression: the Laplace-table fill started at subnormal x, where
+        # power_pdf's k x^(phi-1) overflowed and the rule read NaN.  Two
+        # alpha = 2 branches sum to a gamma power of shape 2 mu, whose
+        # Craig form is (1/pi) int (1 + g Upsilon Omega / (mu sin^2))^-2mu.
+        mu, g = 0.04, SCN_A["g"]
+        doc = dict(SCN_A, branches=[{"type": "alpha_mu_a", "alpha": 2.0,
+                                     "mu": mu, "z_hat": 0.7, "copies": 2}])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bers = _bers(write_scn(tmp_path, doc), method, tmp_path)
+        omega = envelope_moment(AlphaMuA(2.0, mu, 0.7), 1.0, 2.0)
+        ref = [integrate.quad(
+            lambda th: (1.0 + g * u * omega / (mu * math.sin(th) ** 2))
+            ** (-2.0 * mu), 0.0, 0.5 * math.pi, epsabs=0.0,
+            epsrel=1e-13)[0] / math.pi for u in (1.0, 10.0 ** 0.5, 10.0)]
+        assert bers == pytest.approx(ref, rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("method", ["exact", "mgf"])
+    def test_nakagami_mu_0_02_is_one_accuracy_line(self, tmp_path, capsys,
+                                                   method):
+        # The fill's first node cannot go below where k x^(phi-1) stays
+        # finite, and at mu = 0.02 the rule misses 1e-12 from there: the
+        # miss ends the run in one line, with no overflow warning before it.
+        doc = dict(SCN_A, branches=[{"type": "alpha_mu_a", "alpha": 2.0,
+                                     "mu": 0.02, "z_hat": 0.7, "copies": 2}])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["ber", "--scenario", write_scn(tmp_path, doc),
+                       "--method", method, "--out", str(tmp_path / "o.csv")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("numeric accuracy failure: ")
+        assert err.count("\n") == 1
+
+    def test_unequal_form_a_asymptote(self, tmp_path):
+        # Any alpha-mu list takes the general law: kappa2 = sum alpha mu / 2.
+        scn = write_scn(tmp_path, dict(
+            SCN_A, branches=UNEQUAL_A,
+            snr_db={"start": 30, "stop": 40, "step": 10}))
+        exact = _bers(scn, "exact", tmp_path)
+        asym = _bers(scn, "asymptotic", tmp_path)
+        meta = json.loads(
+            (tmp_path / "asymptotic.csv.json").read_text())["metadata"]
+        assert meta["source"] == "alpha_mu_gen"
+        assert meta["kappa2"] == pytest.approx(
+            (3.45388 * 0.51571 + 2.92801 * 0.61844) / 2.0, abs=1e-12)
+        assert asym[-1] / exact[-1] == pytest.approx(1.0, abs=0.01)
 
     def test_exact_curve_at_the_grid_cap(self, tmp_path):
         doc = dict(SCN_A, branches=[
@@ -206,25 +287,25 @@ class TestBerSubcommand:
          {"preset": "mg_config1"}],
     ], ids=["a_mgf", "b_mgf", "unequal_a", "mixed"])
     def test_mgf_applies_to_every_family(self, tmp_path, branches):
-        # mgf reads each branch's power density alone; the density routes
-        # still refuse unequal form-A branches and mixed families.
+        # mgf reads each branch's power density alone; so does exact on
+        # every list that is not all form B.
         scn = write_scn(tmp_path, dict(SCN_MG, branches=branches))
-        out = tmp_path / "mgf.csv"
-        assert main(["ber", "--scenario", scn, "--method", "mgf",
-                     "--out", str(out)]) == 0
-        bers = [p.ber for p in read_curve_csv(str(out)).points]
+        bers = _bers(scn, "mgf", tmp_path)
         assert 0.0 < bers[-1] < bers[0] < 0.5
         if len(branches) > 1:
-            assert main(["ber", "--scenario", scn, "--method", "exact",
-                         "--out", str(tmp_path / "x.csv")]) == 1
+            assert _bers(scn, "exact", tmp_path) == bers
 
-    @pytest.mark.parametrize("branch,method,family", [
-        ({"preset": "indoor_1"}, "foxh", "alpha_mu_a"),
-        ({"preset": "mg_config1"}, "foxh", "mixture_gamma"),
-    ], ids=["a_foxh", "mg_foxh"])
+    @pytest.mark.parametrize("branches,method,family", [
+        ([{"preset": "indoor_1"}], "foxh", "alpha_mu_a"),
+        ([{"preset": "mg_config1"}], "foxh", "mixture_gamma"),
+        ([{"preset": "indoor_1"}, {"preset": "mg_config1"}], "asymptotic",
+         "mixed"),
+        ([{"preset": "indoor_1"}, {"preset": "mg_config1"}], "foxh",
+         "mixed"),
+    ], ids=["a_foxh", "mg_foxh", "mixed_asymptotic", "mixed_foxh"])
     def test_inapplicable_method_names_method_and_family(
-            self, tmp_path, capsys, branch, method, family):
-        scn = write_scn(tmp_path, dict(SCN_MG, branches=[branch]))
+            self, tmp_path, capsys, branches, method, family):
+        scn = write_scn(tmp_path, dict(SCN_MG, branches=branches))
         rc = main(["ber", "--scenario", scn, "--method", method,
                    "--out", str(tmp_path / "x.csv")])
         err = capsys.readouterr().err
@@ -288,10 +369,36 @@ class TestOtherSubcommands:
         out = tmp_path / "pdf.csv"
         assert main(["pdf", "--scenario", scn, "--points", "40",
                      "--out", str(out)]) == 0
-        pdf = cli._sum_density(load_scenario(scn)[0], {})
+        pdf = cli._sum_density(load_scenario(scn)[0])
         rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
         assert [float(v) for _, v in rows] == [float(pdf(float(y)))
                                                for y, _ in rows]
+
+    def test_pdf_of_unequal_form_a_matches_the_convolution_integral(
+            self, tmp_path, monkeypatch):
+        # f(y) = int_0^y f1(x) f2(y - x) dx by adaptive quadrature.
+        calls = []
+
+        def spy(branches, nu, y):
+            calls.append(y)
+            return sum_power_pdf(branches, nu, y)
+
+        monkeypatch.setattr(cli, "sum_power_pdf", spy)
+        scn = write_scn(tmp_path, dict(SCN_A, branches=UNEQUAL_A))
+        out = tmp_path / "pdf.csv"
+        assert main(["pdf", "--scenario", scn, "--ymin", "0.25", "--ymax",
+                     "4", "--points", "4", "--out", str(out)]) == 0
+        assert len(calls) == 1
+        rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+        b1, b2 = load_scenario(scn)[0].branches
+
+        def conv(y):
+            return integrate.quad(
+                lambda x: power_pdf(b1, 1.0, x) * power_pdf(b2, 1.0, y - x),
+                0.0, y, epsrel=1e-12, epsabs=0.0, limit=500)[0]
+
+        assert [float(v) for _, v in rows] == pytest.approx(
+            [conv(float(y)) for y, _ in rows], rel=1e-6, abs=0.0)
 
     @pytest.mark.parametrize("config", ["mg_config3", "mg_config4"])
     def test_pdf_tabulates_an_mg_pair_on_the_default_grid(self, tmp_path,

@@ -71,19 +71,24 @@ def test_fresh_mg_sum_density_loads_no_quadrature_library(tmp_path):
     assert len((tmp_path / "pdf.csv").read_text().splitlines()) == 21
 
 
-FRESH_CURVES = """
+# The arguments each subcommand of the fresh-process run adds.
+FRESH_ARGS = {"ber": ["--method", "exact"], "pdf": ["--points", "20"]}
+
+FRESH_CURVES = f"""
 import json, sys
 from thzdiv import cli
 loaded = ['mpmath' in sys.modules]
-for scenario, out in zip(sys.argv[1::2], sys.argv[2::2]):
-    assert cli.main(['ber', '--scenario', scenario, '--method', 'exact',
-                     '--out', out]) == 0
+for command, scenario, out in zip(*[iter(sys.argv[1:])] * 3):
+    assert cli.main([command, *{FRESH_ARGS!r}[command], '--scenario',
+                     scenario, '--out', out]) == 0
     loaded.append('mpmath' in sys.modules)
 print(json.dumps(loaded))
 """
 
 
 def test_fresh_process_loads_mpmath_with_the_first_delta_series(tmp_path):
+    # exact reads Laplace tables on form A and MG and the mixture on form
+    # B; only form A's pdf builds the delta series, and with it mpmath.
     from thzdiv import cli
     grid = {"start": 0.0, "stop": 20.0, "step": 10.0}
     scenarios = {
@@ -92,19 +97,23 @@ def test_fresh_process_loads_mpmath_with_the_first_delta_series(tmp_path):
                    "snr_db": grid},
         "form_a": {"branches": [{"preset": "indoor_1", "copies": 2}],
                    "snr_db": grid},
+        "mg": {"branches": [{"preset": "mg_config1", "copies": 2}],
+               "snr_db": grid},
     }
-    args = []
     for name, scenario in scenarios.items():
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(scenario))
-        args += [str(path), str(tmp_path / f"{name}-fresh.csv")]
-    # Form B first: its mixture solve needs no mpmath, form A's series does.
+        (tmp_path / f"{name}.json").write_text(json.dumps(scenario))
+    runs = [("ber", name) for name in scenarios] + [("pdf", "form_a")]
+    args = []
+    for command, name in runs:
+        args += [command, str(tmp_path / f"{name}.json"),
+                 str(tmp_path / f"{name}-{command}-fresh.csv")]
     # cli.main reports each file it writes on stdout, before the flags.
     loaded = json.loads(_run_fresh(FRESH_CURVES, *args).splitlines()[-1])
-    assert loaded == [False, False, True]
-    for name in scenarios:
-        here = tmp_path / f"{name}-here.csv"
-        assert cli.main(["ber", "--scenario", str(tmp_path / f"{name}.json"),
-                         "--method", "exact", "--out", str(here)]) == 0
-        assert (tmp_path / f"{name}-fresh.csv").read_bytes() == \
+    assert loaded == [False, False, False, False, True]
+    for command, name in runs:
+        here = tmp_path / f"{name}-{command}-here.csv"
+        assert cli.main([command, *FRESH_ARGS[command], "--scenario",
+                         str(tmp_path / f"{name}.json"),
+                         "--out", str(here)]) == 0
+        assert (tmp_path / f"{name}-{command}-fresh.csv").read_bytes() == \
             here.read_bytes()
