@@ -18,6 +18,7 @@ writes a JSON sidecar with the scenario echo, library version, and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -548,7 +549,9 @@ def _emit(path: str | None, text: str):
         sys.stdout.write(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """One parser per process; each _cmd_* looks up its callees per call."""
     parser = argparse.ArgumentParser(
         prog="thzdiv",
         description="BER of MRC diversity receivers over THz fading channels")

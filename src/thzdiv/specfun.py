@@ -26,6 +26,7 @@ _SQRT2 = math.sqrt(2.0)
 # Relative agreement of successive step halvings that ends fox_h.
 _FOX_H_RTOL = 1e-10
 _FOX_H_BLOCK = 256  # most z per fox_h trapezoid rule: bounds its (t, z) table
+_MID_SLICE = 2 ** 14  # most midpoints a halving evaluates at once
 
 
 def q_function(x):
@@ -139,9 +140,10 @@ def fox_h(params: FoxHParams, z):
     Vertical-line Mellin-Barnes quadrature: each z takes the abscissa inside
     the gap between the two gamma pole families that minimizes the
     integrand's peak magnitude, the line is truncated where the integrand
-    falls below 1e-16 of its peak, and the trapezoid step is halved until
-    successive estimates agree to _FOX_H_RTOL.  Only z^-s depends on z, so
-    the z sharing an abscissa share one rule, _FOX_H_BLOCK at a time.
+    falls below 1e-16 of its peak, and the trapezoid step, from t_max/64,
+    is halved until successive estimates agree to _FOX_H_RTOL; the finest
+    step is t_max/2^22.  Only z^-s depends on z, so the z sharing an
+    abscissa share one rule, _FOX_H_BLOCK at a time.
     """
     z = np.asarray(z, dtype=float)
     if not np.all((z > 0.0) & (z < math.inf)):
@@ -168,14 +170,14 @@ def fox_h(params: FoxHParams, z):
                 raise EvaluationError("integrand truncation point not found")
         group = np.flatnonzero(pick == j)
         # The integrand is Hermitian in t, so the integral reduces to twice
-        # the real part over t >= 0.
+        # the real part over t >= 0: e^(Re w) cos(Im w) of its log w.
         for cols in np.array_split(group, 1 + group.size // _FOX_H_BLOCK):
             def integrand(t, c=c, cols=cols):
-                s = c + 1j * t
-                return np.exp(_log_mellin_kernel(params, s)[:, None]
-                              - s[:, None] * lnz[cols] - peak_log[cols]).real
-            est[cols] = _nested_trapezoid(integrand, 0.0, t_max, 512,
-                                          _FOX_H_RTOL, 13)
+                k = _log_mellin_kernel(params, c + 1j * t)
+                return (np.exp(k.real[:, None] - c * lnz[cols] - peak_log[cols])
+                        * np.cos(k.imag[:, None] - t[:, None] * lnz[cols]))
+            est[cols] = _nested_trapezoid(integrand, 0.0, t_max, 64,
+                                          _FOX_H_RTOL, 16)
     h = (est * np.exp(peak_log) / math.pi).reshape(z.shape)
     return float(h) if z.ndim == 0 else h
 
@@ -185,9 +187,10 @@ def _nested_trapezoid(f, a: float, b: float, n: int, rtol: float,
     """Trapezoid rule for int_a^b f dt, halving the step until two levels agree.
 
     Starts from n intervals; a halving evaluates f only at the previous
-    level's midpoints.  f maps an array of t to values with t on the first
-    axis; trailing axes are integrated componentwise, and every component
-    must agree to rtol of itself, or of the largest one with ``normwise``.
+    level's midpoints, _MID_SLICE at a time, summed in order.  f maps an
+    array of t to values with t on the first axis; trailing axes are
+    integrated componentwise, and every component must agree to rtol of
+    itself, or of the largest one with ``normwise``.
     Raises AccuracyError when ``levels`` halvings do not suffice.
     """
     h = (b - a) / n
@@ -195,7 +198,12 @@ def _nested_trapezoid(f, a: float, b: float, n: int, rtol: float,
     total = np.sum(vals, axis=0) - 0.5 * (vals[0] + vals[-1])
     est = h * total
     for _ in range(levels):
-        total = total + np.sum(f(a + h * (np.arange(n) + 0.5)), axis=0)
+        mid = a + h * (np.arange(n) + 0.5)
+        part = np.sum(f(mid[:_MID_SLICE]), axis=0)
+        for lo in range(_MID_SLICE, n, _MID_SLICE):
+            part = np.sum(np.concatenate(
+                [part[None], f(mid[lo:lo + _MID_SLICE])]), axis=0)
+        total = total + part
         h, n = 0.5 * h, 2 * n
         prev, est = est, h * total
         gap = np.abs(est - prev)

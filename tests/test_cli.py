@@ -646,3 +646,40 @@ class TestOtherSubcommands:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("PASS") == 7
+
+
+class TestParser:
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_a_patch_after_the_first_call_is_seen(self, tmp_path,
+                                                  monkeypatch):
+        # Each subcommand looks up the library functions at call time, so
+        # the one parser never pins the functions of its first call.
+        scn = write_scn(tmp_path, SCN_MG)
+        first = _bers(scn, "mgf", tmp_path)
+        calls, mgf = [], cli.ber_mg_mgf
+
+        def spy(*args, **kw):
+            calls.append(args[-1])
+            return mgf(*args, **kw)
+
+        monkeypatch.setattr(cli, "ber_mg_mgf", spy)
+        assert _bers(scn, "mgf", tmp_path) == first
+        assert len(calls) == 1
+
+    def test_unknown_method_exits_2_with_the_same_usage(self, tmp_path,
+                                                        capsys):
+        argv = ["ber", "--scenario", write_scn(tmp_path, SCN_MG),
+                "--method", "bogus", "--out", str(tmp_path / "o.csv")]
+        errs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert errs[0].startswith("usage: thzdiv ber ")
+        assert "{mc,exact,foxh,mgf,asymptotic}" in errs[0]
+        assert "invalid choice: 'bogus'" in errs[0]
+        assert not (tmp_path / "o.csv").exists()

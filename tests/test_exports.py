@@ -117,3 +117,29 @@ def test_fresh_process_loads_mpmath_with_the_first_delta_series(tmp_path):
                          "--out", str(here)]) == 0
         assert (tmp_path / f"{name}-{command}-fresh.csv").read_bytes() == \
             here.read_bytes()
+
+
+FRESH_PARSERS = """
+import argparse, json, sys
+built, init = [], argparse.ArgumentParser.__init__
+
+def counted(self, *args, **kw):
+    built.append(kw.get('prog'))
+    init(self, *args, **kw)
+
+argparse.ArgumentParser.__init__ = counted
+from thzdiv import cli
+counts = [len(built)]
+for _ in range(2):
+    assert cli.main(['presets', '--out', sys.argv[1]]) == 0
+    counts.append(len(built))
+print(json.dumps(counts))
+"""
+
+
+def test_cli_builds_its_parser_once_and_not_at_import(tmp_path):
+    # Importing the CLI builds nothing; the first main() builds the parser
+    # and its subparsers, and a second main() reuses them.
+    out = _run_fresh(FRESH_PARSERS, str(tmp_path / "presets.json"))
+    counts = json.loads(out.splitlines()[-1])
+    assert counts[0] == 0 and counts[1] > 0 and counts[2] == counts[1]

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from thzdiv import cli, sum_dist
+from thzdiv import cli, specfun, sum_dist
 from thzdiv.ber_analytic import ber_alpha_mu_gen_foxh
 from thzdiv.channel_models import (
     AlphaMuA,
@@ -380,6 +380,58 @@ class TestMixtureSweep:
                                      for x in (0.8, 1.0, 1.25)], nu=1.0)
         assert ber_alpha_mu_gen_foxh(nodes, 10 ** (snr_db / 10)) == \
             pytest.approx(ber, rel=1e-12, abs=0.0)
+
+
+def _iid_form_b_nodes(preset, copies):
+    return solve_mixture_nodes([alpha_mu_b_preset(preset)] * copies, nu=1.0)
+
+
+class TestFoxHLadder:
+    def test_bench_profile_stops_on_a_coarse_level(self, monkeypatch):
+        # A ladder that starts at 512 intervals evaluated 4 117 kernel
+        # points on this curve; every abscissa group converged on its first
+        # halving.
+        nodes = solve_mixture_nodes([alpha_mu_b_preset("indoor_1", x_mean=x)
+                                     for x in (0.8, 1.0, 1.25)], nu=1.0)
+        kernel, points = specfun._log_mellin_kernel, []
+
+        def counted(params, s):
+            points.append(np.size(s))
+            return kernel(params, s)
+
+        monkeypatch.setattr(specfun, "_log_mellin_kernel", counted)
+        ber_alpha_mu_gen_foxh(nodes, 10 ** (np.arange(-5.0, 31.0, 5.0) / 10))
+        assert sum(points) <= 0.6 * 4117
+
+    def test_finest_step_is_t_max_over_2_to_the_22(self, monkeypatch):
+        # One abscissa group here needs 131 073 nodes, 2^17 intervals.  A
+        # coarser start takes more halvings, never a coarser finest step.
+        rule, ladders = specfun._nested_trapezoid, []
+
+        def spy(f, a, b, n, rtol, levels, *args):
+            ladders.append(n * 2 ** levels)
+            return rule(f, a, b, n, rtol, levels, *args)
+
+        monkeypatch.setattr(specfun, "_nested_trapezoid", spy)
+        u = 10 ** (np.arange(-100.0, 61.0, 2.5) / 10)
+        ber = ber_alpha_mu_gen_foxh(_iid_form_b_nodes("indoor_2", 8), u, 0.5)
+        assert np.all((ber > 0.0) & (ber < 0.5))
+        assert np.all(np.diff(ber) < 0.0)
+        assert set(ladders) == {2 ** 22}
+
+    def test_a_fine_level_is_evaluated_in_slices(self):
+        # At 2^16 intervals a group of 72 z evaluated whole holds a
+        # (32 768 x 72) table per temporary, and the call peaked at 55 MB.
+        u = 10 ** (np.arange(-100.0, 61.0, 5.0) / 10)
+        nodes = _iid_form_b_nodes("indoor_1", 8)
+        tracemalloc.start()
+        try:
+            ber = ber_alpha_mu_gen_foxh(nodes, u, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all((ber > 0.0) & (ber < 0.5))
+        assert peak < 40e6
 
 
 def _alpha2(mu, theta):
