@@ -9,14 +9,12 @@ import numpy as np
 from thzdiv import (
     BerCurve,
     BerPoint,
-    IidAlphaMuSum,
     Scenario,
     alpha_mu_a_preset,
     ber_alpha_mu_iid_asymptote,
-    ber_exact_quadrature,
+    ber_mg_mgf,
     compare_to_theory,
     fit_power_law,
-    iid_sum_power_pdf,
     simulate_mrc_ber,
 )
 
@@ -24,11 +22,11 @@ L = 3
 model = alpha_mu_a_preset("indoor_1")
 print(f"branch model: alpha = {model.alpha}, mu = {model.mu} (L = {L} i.i.d.)")
 
-# Exact route: quadrature of Q(.) against the series density of ||h||^2,
-# one call for the whole grid, which shares every density value.
-s = IidAlphaMuSum.build(model, nu=1.0, l_branches=L)
+# Exact route: the Craig-form MGF over each branch's power Laplace transform,
+# one call for the whole grid, as `thzdiv ber --method exact` makes it.
+# g = 0.5 is the Q(sqrt(Upsilon x)) convention; ber_mg_mgf defaults to g = 1.
 grid = np.geomspace(0.1, 316.0, 13)
-exact = ber_exact_quadrature(lambda y: iid_sum_power_pdf(s, y), grid)
+exact = ber_mg_mgf([model] * L, 1.0, L, grid, g=0.5)
 
 # Independent route: variance-reduced Monte Carlo over the same scenario.
 sc = Scenario(branches=(model,) * L, snr_grid=tuple(grid[:9]))

@@ -69,9 +69,10 @@ from .sum_dist import (
 
 CSV_HEADER = "snr_db,upsilon,ber,se,method,kappa1,kappa2"
 
-# Scenario size limits, checked before anything is allocated: the form-A
-# series that `pdf` builds for identical branches grows its precision like
-# L^alpha_bar (a build takes about 5 s at L = 8 and 75 s at L = 16).
+# Scenario size limits, checked before anything is allocated.  The sum
+# density enumerates one small-y term per index tuple of the branches' terms,
+# K^L for L branches of K components: mg_config4 (K = 3) peaks at 0.2 MB at
+# L = 8 and 17 MB at L = 12, so about 1.4 GB at L = 16.
 _MAX_BRANCHES = 8
 _MAX_GRID_POINTS = 10_000
 
@@ -293,14 +294,8 @@ def _family(scenario: Scenario) -> str:
 
 
 def _sum_density(scenario: Scenario):
-    """Density of ||h||^2, from the closest form the branches allow."""
-    fam, branches, nu = _family(scenario), scenario.branches, scenario.nu
-    if fam == "alpha_mu_a" and len(set(branches)) == 1:
-        s = IidAlphaMuSum.build(branches[0], nu, scenario.l_branches)
-        return lambda y: iid_sum_power_pdf(s, y)
-    if fam == "alpha_mu_b":
-        nodes = solve_mixture_nodes(branches, nu)
-        return lambda y: inid_sum_power_pdf(nodes, y)
+    """Density of ||h||^2: one branch's own, or the inversion of the sum."""
+    branches, nu = scenario.branches, scenario.nu
     if scenario.l_branches == 1:
         return lambda y: power_pdf(branches[0], nu, y)
     return lambda y: sum_power_pdf(branches, nu, y)

@@ -2,14 +2,15 @@
 
 Three representations are provided:
 
+* the true density of any independent sum by Laplace inversion, which
+  `thzdiv pdf` tabulates for every list of two or more branches;
 * the exact series for the sum of i.i.d. alpha-mu powers (delta-coefficient
-  recursion), evaluated adaptively with a high-precision fallback where the
-  alternating series cancels catastrophically in float64;
-* a Psi-node mixture approximation for the i.n.i.d. alpha-mu (form B) sum:
-  the Gauss-Radau rule (Golub 1973) on the normalized sum moments whose
-  prescribed node, a Brent root, meets the exact small-argument leading
-  coefficient;
-* the true density of any independent sum by Laplace inversion; it checks both.
+  recursion) with a high-precision fallback where it cancels in float64, an
+  oracle that `verify` and the tests check the inversion against;
+* a Psi-node mixture approximation for the form-B sum, the paper's Eq. 23
+  behind `foxh` and form-B `exact`: the Gauss-Radau rule (Golub 1973) on the
+  normalized sum moments whose prescribed node, a Brent root, meets the
+  exact small-argument leading coefficient.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
-"""The demos run end to end and print their conclusions.
+"""The demos and the README quickstart run end to end.
 
 demos/cli_walkthrough.sh calls the ``thzdiv`` console script; the test puts a
 shim that runs ``python -m thzdiv.cli`` on PATH, so no install is needed.
 """
 
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -14,6 +15,17 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
+
+
+def test_readme_python_blocks_run_in_order(capsys):
+    # The quickstart's second block reuses the first block's names.
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, re.M | re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert "diversity order:" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("script,expect", [

@@ -77,18 +77,21 @@ FRESH_ARGS = {"ber": ["--method", "exact"], "pdf": ["--points", "20"]}
 FRESH_CURVES = f"""
 import json, sys
 from thzdiv import cli
-loaded = ['mpmath' in sys.modules]
+loaded = []
 for command, scenario, out in zip(*[iter(sys.argv[1:])] * 3):
     assert cli.main([command, *{FRESH_ARGS!r}[command], '--scenario',
                      scenario, '--out', out]) == 0
-    loaded.append('mpmath' in sys.modules)
+    loaded.append(sorted(set(sys.modules) & {{'mpmath', 'scipy.optimize'}}))
 print(json.dumps(loaded))
 """
 
 
-def test_fresh_process_loads_mpmath_with_the_first_delta_series(tmp_path):
+def test_fresh_ber_and_pdf_load_no_mpmath_and_form_b_pdf_no_optimize(
+        tmp_path):
     # exact reads Laplace tables on form A and MG and the mixture on form
-    # B; only form A's pdf builds the delta series, and with it mpmath.
+    # B, and pdf inverts the Laplace transform of every sum: no call builds
+    # the delta series, so none loads mpmath.  Form B's pdf, run first,
+    # solves no mixture, so it leaves scipy.optimize unloaded too.
     from thzdiv import cli
     grid = {"start": 0.0, "stop": 20.0, "step": 10.0}
     scenarios = {
@@ -102,14 +105,17 @@ def test_fresh_process_loads_mpmath_with_the_first_delta_series(tmp_path):
     }
     for name, scenario in scenarios.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(scenario))
-    runs = [("ber", name) for name in scenarios] + [("pdf", "form_a")]
+    runs = ([("pdf", name) for name in scenarios]
+            + [("ber", name) for name in scenarios])
     args = []
     for command, name in runs:
         args += [command, str(tmp_path / f"{name}.json"),
                  str(tmp_path / f"{name}-{command}-fresh.csv")]
-    # cli.main reports each file it writes on stdout, before the flags.
+    # cli.main reports each file it writes on stdout, before the modules.
     loaded = json.loads(_run_fresh(FRESH_CURVES, *args).splitlines()[-1])
-    assert loaded == [False, False, False, False, True]
+    assert len(loaded) == len(runs)
+    assert loaded[0] == []
+    assert all("mpmath" not in modules for modules in loaded)
     for command, name in runs:
         here = tmp_path / f"{name}-{command}-here.csv"
         assert cli.main([command, *FRESH_ARGS[command], "--scenario",
